@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import normapprox
 from normapprox import (GRID_A, GRID_B, compute_error_report, inverse_table,
                         quantile_approx)
 from normapprox.cli import main
@@ -198,3 +203,35 @@ def test_unknown_format_exit_2(capsys):
 
 def test_missing_subcommand_exit_2(capsys):
     assert run(capsys)[0] == 2
+
+
+def test_cli_commands_leave_scipy_unimported(tmp_path):
+    # scipy serves only the quadrature cross-check and costs most of a fresh
+    # process's start-up, so neither the package nor any command may load it
+    # (bench is left out: it needs a million evaluations per subject)
+    argvs = [["table2", "--grid-stop", "1", "--grid-step", "0.1"],
+             ["table34"],
+             ["curves", "--grid-stop", "1", "--grid-step", "0.1",
+              "--output", str(tmp_path)],
+             ["reconcile", "--grid-stop", "1", "--grid-step", "0.1",
+              "--output", str(tmp_path / "report.txt")],
+             ["eval", "--", "-1.5", "0", "1.5"],
+             ["invert", "0.25", "0.975"]]
+    script = textwrap.dedent(f"""
+        import contextlib, io, json, sys
+        import normapprox
+        from normapprox.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [main(argv) for argv in {argvs!r}]
+        print(json.dumps([codes, sorted(m for m in sys.modules
+                                        if m.split(".")[0] == "scipy")]))
+    """)
+    src = os.path.dirname(os.path.dirname(normapprox.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    codes, scipy_modules = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [0] * len(argvs)
+    assert scipy_modules == []

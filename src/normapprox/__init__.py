@@ -2,13 +2,13 @@
 scored against a self-validated high-precision oracle."""
 
 from .approximations import (DEFAULT_PHI9, ApproxDescriptor, Phi9Coefficients,
-                             eval_cdf_approx, eval_cdf_extended, evaluator,
+                             eval_cdf_approx, eval_cdf_extended,
                              list_approximations, phi9_linear_coefficient)
 from .errors import DomainError
 from .inverse import (d1_poly, polya_cdf, quantile_approx, z1_schmeiser,
                       z2_shore, z3_proposed)
 from .metrics import (DEFAULT_INVERSE_GRID, GRID_A, GRID_B, ErrorReport,
-                      GridSpec, InverseRow, build_grid, compute_error_report,
+                      GridSpec, InverseRow, compute_error_report,
                       error_curve, inverse_table)
 from .reconcile import (CoefficientVariant, ReconciliationReport,
                         generate_variants, reconcile_phi9, write_report)
@@ -30,13 +30,11 @@ __all__ = [
     "InverseRow",
     "Phi9Coefficients",
     "ReconciliationReport",
-    "build_grid",
     "compute_error_report",
     "d1_poly",
     "error_curve",
     "eval_cdf_approx",
     "eval_cdf_extended",
-    "evaluator",
     "generate_variants",
     "inverse_table",
     "list_approximations",

@@ -11,16 +11,16 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from . import __version__
-from .approximations import (DEFAULT_PHI9, eval_cdf_extended, evaluator,
+from .approximations import (DEFAULT_PHI9, eval_cdf_approx, eval_cdf_extended,
                              list_approximations)
 from .errors import DomainError
 from .inverse import quantile_approx
 from .metrics import (DEFAULT_INVERSE_GRID, GRID_A, GRID_B, GridSpec,
-                      build_grid, compute_error_report, error_curve,
-                      inverse_table)
+                      compute_error_report, error_curve, inverse_table)
 from .reconcile import reconcile_phi9, write_report
 from .reference import ref_cdf
 
@@ -126,7 +126,7 @@ def cmd_table2(args) -> int:
 
 def cmd_table34(args) -> int:
     spec = _grid_from_args(args, DEFAULT_INVERSE_GRID)
-    data = inverse_table(build_grid(spec))
+    data = inverse_table(spec.points())
     headers = ["z", "p", "zhat1", "zhat2", "zhat3",
                "delta1", "delta2", "delta3",
                "p_full", "zhat1_full", "zhat2_full", "zhat3_full",
@@ -152,7 +152,7 @@ def cmd_table34(args) -> int:
 def cmd_curves(args) -> int:
     spec = _grid_from_args(args, GRID_A)
     curve = error_curve(args.approx, spec)
-    fig2 = [(r.p, r.delta3) for r in inverse_table(build_grid(_FIG2_GRID))]
+    fig2 = [(r.p, r.delta3) for r in inverse_table(_FIG2_GRID.points())]
 
     outdir = Path(args.output or ".")
     outdir.mkdir(parents=True, exist_ok=True)
@@ -181,10 +181,11 @@ def cmd_curves(args) -> int:
 
 def run_bench(evals: int) -> list[BenchResult]:
     """Time each approximation plus the oracle over grid-cycled inputs."""
-    points = build_grid(GRID_A)
+    points = GRID_A.points()
     data = [points[i % len(points)] for i in range(evals)]
     warm = data[:_WARMUP_EVALS]
-    subjects = [(f"phi{d.index}", evaluator(d.index)) for d in list_approximations()]
+    subjects = [(f"phi{d.index}", partial(eval_cdf_approx, d.index))
+                for d in list_approximations()]
     subjects.append(("oracle", ref_cdf))
     results = []
     sink = 0.0
@@ -238,13 +239,7 @@ def cmd_eval(args) -> int:
 
 def cmd_invert(args) -> int:
     headers = ["p", "z"]
-    rows = []
-    for p in args.values:
-        if not 0.0 < p < 1.0:
-            raise DomainError("invert requires 0 < p < 1")
-        z = quantile_approx(args.inverse, p) if p >= 0.5 \
-            else -quantile_approx(args.inverse, 1.0 - p)
-        rows.append([p, z])
+    rows = [[p, quantile_approx(args.inverse, p)] for p in args.values]
     text = _render(args.format, "invert", {"inverse": args.inverse}, headers, rows)
     _emit(args, text)
     return 0
@@ -294,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--output", default=None, metavar="PATH")
     sp.set_defaults(func=cmd_reconcile)
 
-    sp = sub.add_parser("eval", help="evaluate one approximation (any finite z)")
+    sp = sub.add_parser("eval", help="evaluate one approximation (|z| < its bound)")
     sp.add_argument("--approx", type=int, choices=range(1, 10), default=9)
     _add_io_flags(sp)
     sp.add_argument("values", type=float, nargs="+", metavar="Z")

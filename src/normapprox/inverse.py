@@ -1,7 +1,7 @@
 """Closed-form approximations of the standard normal quantile.
 
-Three forms, all defined for 0.5 <= p < 1 (callers reflect smaller p through
-z(p) = -z(1-p)):
+Three forms, all defined for 0.5 <= p < 1; ``quantile_approx`` extends them to
+0 < p < 1 through the reflection z(p) = -z(1-p):
 
 * ``z1_schmeiser``: the power-difference form,
 * ``z2_shore``:     the tail-ratio power form,
@@ -65,8 +65,17 @@ _DISPATCH = {1: z1_schmeiser, 2: z2_shore, 3: z3_proposed}
 
 
 def quantile_approx(approx_id: int, p: float) -> float:
-    """Dispatch over the three quantile approximations (1..3)."""
+    """Quantile approximation ``approx_id`` (1..3) at 0 < p < 1; p < 0.5 is
+    reflected through z(p) = -z(1-p)."""
     fn = _DISPATCH.get(approx_id)
     if fn is None:
         raise DomainError(f"unknown quantile approximation id {approx_id!r}")
-    return fn(p)
+    if 0.5 <= p < 1.0:
+        return fn(p)
+    if not 0.0 < p < 0.5:
+        raise DomainError("quantile_approx requires 0 < p < 1")
+    q = 1.0 - p
+    if q == 1.0:
+        raise DomainError(f"quantile_approx requires 0 < p < 1, and p = {p!r} "
+                          "is too small to reflect: 1 - p rounds to 1")
+    return -fn(q)

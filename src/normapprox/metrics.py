@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import inverse
-from .approximations import Phi9Coefficients, eval_cdf_approx
+from .approximations import Phi9Coefficients, descriptor, eval_cdf_approx
 from .errors import DomainError
 from .reference import ref_cdf
 
@@ -82,29 +82,28 @@ class InverseRow:
     delta3: float
 
 
-def build_grid(spec: GridSpec) -> list[float]:
-    """The grid points of ``spec`` (validation happens in the GridSpec)."""
-    return spec.points()
-
-
 @lru_cache(maxsize=32)
 def _ref_values(spec: GridSpec) -> tuple[float, ...]:
     return tuple(ref_cdf(z) for z in spec.points())
 
 
-def _check_grid_domain(approx_id: int, spec: GridSpec) -> None:
+def _checked_refs(approx_id: int, spec: GridSpec) -> tuple[float, ...]:
+    """Oracle values on ``spec``, once the grid is known to lie inside the
+    domain of approximation ``approx_id`` (checked before the oracle fill)."""
     if spec.start < 0.0:
         raise DomainError("approximation grids require z >= 0")
-    if approx_id == 2 and spec.stop >= 9.0:
-        raise DomainError("Lin's form is bounded to 0 <= z < 9")
+    d = descriptor(approx_id)
+    if spec.stop >= d.domain_max:
+        raise DomainError(f"grid stop {spec.stop:g} is outside the domain of "
+                          f"{d.name}, |z| < {d.domain_max:g}")
+    return _ref_values(spec)
 
 
 def compute_error_report(approx_id: int, spec: GridSpec,
                          coeffs: Phi9Coefficients | None = None) -> ErrorReport:
     """Grid MXAE (with argmax, first-of-ties) and MAE against the oracle."""
-    _check_grid_domain(approx_id, spec)
-    pts = build_grid(spec)
-    refs = _ref_values(spec)
+    refs = _checked_refs(approx_id, spec)
+    pts = spec.points()
     mxae = -1.0
     mxae_location = pts[0]
     errs = []
@@ -121,10 +120,9 @@ def compute_error_report(approx_id: int, spec: GridSpec,
 def error_curve(approx_id: int, spec: GridSpec,
                 coeffs: Phi9Coefficients | None = None) -> list[tuple[float, float]]:
     """Signed differences (approximation - reference) in grid order."""
-    _check_grid_domain(approx_id, spec)
-    refs = _ref_values(spec)
+    refs = _checked_refs(approx_id, spec)
     return [(z, eval_cdf_approx(approx_id, z, coeffs) - r)
-            for z, r in zip(build_grid(spec), refs)]
+            for z, r in zip(spec.points(), refs)]
 
 
 def inverse_table(z_values=None) -> list[InverseRow]:
@@ -135,7 +133,7 @@ def inverse_table(z_values=None) -> list[InverseRow]:
     this doubles as the delta3-versus-p figure dataset.
     """
     if z_values is None:
-        z_values = build_grid(DEFAULT_INVERSE_GRID)
+        z_values = DEFAULT_INVERSE_GRID.points()
     rows = []
     for z in z_values:
         z = float(z)

@@ -12,8 +12,10 @@ the specification of record.
 """
 
 from dataclasses import dataclass
+from itertools import product
 
-from .approximations import DEFAULT_PHI9, Phi9Coefficients
+from .approximations import (DEFAULT_PHI9, PHI9_READINGS, Phi9Coefficients,
+                             phi9_reading)
 from .errors import DomainError
 from .metrics import GRID_B, ErrorReport, GridSpec, compute_error_report
 
@@ -25,39 +27,10 @@ TARGET_ARGMAX = 0.794634
 GATE_MXAE = 1e-9
 GATE_ARGMAX_TOL = 0.01
 
-# Coefficients exactly as tabulated (k5 positive, k3 and k8 as printed).
-K_TABULATED = (
-    1.5957691187,
-    5.37366e-8,
-    0.72670769,
-    -9.229e-7,
-    5.3498e-5,
-    -9.0342e-5,
-    1.049448e-4,
-    -3.0263611e-3,
-    2.99472642e-4,
-    -1.98173433e-4,
-    9.4285766e-5,
-    -3.1366467e-5,
-    7.1524366e-6,
-    1.09550613e-6,
-    1.079959e-7,
-    -6.208087e-9,
-    1.585371e-10,
-)
-
-# Flagged alternatives: (as printed, plausible correction)
-_K3_CHOICES = (("k3print", 0.72670769), ("k3shift", 0.072670769))
-_K5_CHOICES = (("k5plus", 5.3498e-5), ("k5minus", -5.3498e-5))
-_K8_CHOICES = (("k8print", -3.0263611e-3), ("k8shift", -3.0263611e-4))
-
-_NOTES = {
-    "k3print": "k3 as printed",
-    "k3shift": "k3 shifted one digit right (cubic magnitude of the sibling formulas)",
-    "k5plus": "k5 sign as tabulated",
-    "k5minus": "k5 sign from the running-text polynomial",
-    "k8print": "k8 as printed",
-    "k8shift": "k8 exponent shifted to match its neighbours",
+# Combinations of readings that follow one printed source throughout.
+_LITERAL_LABELS = {
+    ("k3print", "k5plus", "k8print"): "table-literal",
+    ("k3print", "k5minus", "k8print"): "prose-literal",
 }
 
 
@@ -99,23 +72,14 @@ def generate_variants() -> tuple[CoefficientVariant, ...]:
     matching the running text (negative k5) is ``prose-literal``.
     """
     variants = []
-    for tag3, k3 in _K3_CHOICES:
-        for tag5, k5 in _K5_CHOICES:
-            for tag8, k8 in _K8_CHOICES:
-                k = list(K_TABULATED)
-                k[2], k[4], k[7] = k3, k5, k8
-                if (tag3, tag5, tag8) == ("k3print", "k5plus", "k8print"):
-                    label = "table-literal"
-                elif (tag3, tag5, tag8) == ("k3print", "k5minus", "k8print"):
-                    label = "prose-literal"
-                else:
-                    label = f"{tag3}-{tag5}-{tag8}"
-                notes = "; ".join(_NOTES[t] for t in (tag3, tag5, tag8))
-                variants.append(CoefficientVariant(
-                    label=label,
-                    coefficients=Phi9Coefficients(k=tuple(k), variant_tag=label),
-                    discrepancy_notes=notes,
-                ))
+    for readings in product(*PHI9_READINGS.values()):
+        tags = tuple(tag for tag, _, _ in readings)
+        label = _LITERAL_LABELS.get(tags, "-".join(tags))
+        variants.append(CoefficientVariant(
+            label=label,
+            coefficients=Phi9Coefficients(k=phi9_reading(tags), variant_tag=label),
+            discrepancy_notes="; ".join(note for _, _, note in readings),
+        ))
     return tuple(variants)
 
 

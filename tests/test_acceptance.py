@@ -22,7 +22,7 @@ import time
 
 import pytest
 
-from normapprox import (DEFAULT_PHI9, GRID_A, GRID_B, build_grid,
+from normapprox import (DEFAULT_PHI9, GRID_A, GRID_B,
                         compute_error_report, eval_cdf_approx,
                         eval_cdf_extended, inverse_table, oracle_cross_check,
                         quantile_approx, ref_cdf, ref_quantile, reconcile_phi9,
@@ -157,7 +157,7 @@ def test_c6_range_invariant(approx_id):
     grids = [GRID_A] if approx_id == 9 else [GRID_A, GRID_B]
     sat = []
     for grid in grids:
-        for z in build_grid(grid):
+        for z in grid.points():
             v = eval_cdf_approx(approx_id, z)
             assert v > 0.0
             if not v < 1.0:
@@ -184,7 +184,7 @@ def test_c6_reflection_identity():
 
 def test_c6_monotonicity_phi1_to_phi8():
     bad = []
-    pts = build_grid(GRID_B)
+    pts = GRID_B.points()
     for i in range(1, 9):
         vals = [eval_cdf_approx(i, z) for z in pts]
         if not all(b >= a for a, b in zip(vals, vals[1:])):

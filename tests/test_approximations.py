@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normapprox import (DEFAULT_PHI9, DomainError, GRID_A, GRID_B, GridSpec,
-                        Phi9Coefficients, build_grid, eval_cdf_approx,
+                        Phi9Coefficients, eval_cdf_approx,
                         eval_cdf_extended, list_approximations,
                         phi9_linear_coefficient)
 from goldens import TABLE2
@@ -38,7 +38,7 @@ def test_registry_ninth_descriptor():
 def test_registry_metadata_matches_published_table():
     for d in list_approximations():
         assert (d.reported_mxae, d.reported_mae) == TABLE2[d.index]
-        assert d.domain_max == (9.0 if d.index == 2 else None)
+        assert d.domain_max == {2: 9.0, 5: 7.96, 8: 6.24}.get(d.index, math.inf)
 
 
 def test_logistic_saturation_tocher():
@@ -58,14 +58,14 @@ def test_bowling_closed_form_at_one():
 def test_tocher_grid_max_error():
     # published figure: 1.77e-2
     from normapprox import ref_cdf
-    worst = max(abs(eval_cdf_approx(1, z) - ref_cdf(z)) for z in build_grid(GRID_A))
+    worst = max(abs(eval_cdf_approx(1, z) - ref_cdf(z)) for z in GRID_A.points())
     assert worst == pytest.approx(1.77e-2, rel=0.02)
 
 
 def test_vedder_grouping_reproduces_published_error():
     # the cubic-term grouping is validated by the published 3.14e-4
     from normapprox import ref_cdf
-    worst = max(abs(eval_cdf_approx(4, z) - ref_cdf(z)) for z in build_grid(GRID_A))
+    worst = max(abs(eval_cdf_approx(4, z) - ref_cdf(z)) for z in GRID_A.points())
     assert worst == pytest.approx(3.14e-4, rel=0.02)
 
 
@@ -113,9 +113,21 @@ def test_phi9_coefficient_at_one_is_sum():
         math.fsum(DEFAULT_PHI9.k), abs=1e-15)
 
 
+def test_phi9_exponent_is_z_times_linear_coefficient():
+    y = list_approximations()[8].y
+    for coeffs in (None, Phi9Coefficients(k=tuple(reversed(DEFAULT_PHI9.k)), variant_tag="r")):
+        assert all(y(z, coeffs) == phi9_linear_coefficient(z, coeffs) * z
+                   for z in GRID_A.points())
+
+
 def test_negative_z_rejected():
     with pytest.raises(DomainError):
         eval_cdf_approx(1, -0.1)
+
+
+def test_negative_z_error_names_symmetric_domain():
+    with pytest.raises(DomainError, match=r"\|z\| < 6\.24"):
+        eval_cdf_extended(8, -8.0)
 
 
 def test_lin_domain_edge_is_hard_error():
@@ -137,13 +149,13 @@ def test_coefficients_require_17_entries():
 
 @pytest.mark.parametrize("approx_id", range(1, 9))
 def test_range_and_monotonicity_grid_b(approx_id):
-    vals = [eval_cdf_approx(approx_id, z) for z in build_grid(GRID_B)]
+    vals = [eval_cdf_approx(approx_id, z) for z in GRID_B.points()]
     assert all(0.0 < v < 1.0 for v in vals)
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
 def test_phi9_monotone_on_fine_grid_to_four():
-    pts = build_grid(GridSpec(0.0, 4.0, 0.001))
+    pts = GridSpec(0.0, 4.0, 0.001).points()
     vals = [eval_cdf_approx(9, z) for z in pts]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
@@ -152,8 +164,32 @@ def test_phi9_saturates_beyond_three_and_a_quarter():
     # the shipped coefficient variant drives the exponent past the point
     # where 1 + e^-y rounds to 1, so the strict upper bound 1 is reached;
     # the strict open-range assertion is tracked in the acceptance suite
-    vals = [eval_cdf_approx(9, z) for z in build_grid(GRID_A)]
+    vals = [eval_cdf_approx(9, z) for z in GRID_A.points()]
     assert all(0.0 < v <= 1.0 for v in vals)
     assert min(vals) == 0.5
-    first_saturated = next(z for z, v in zip(build_grid(GRID_A), vals) if v == 1.0)
+    first_saturated = next(z for z, v in zip(GRID_A.points(), vals) if v == 1.0)
     assert 3.2 < first_saturated < 3.3
+
+
+def _domain_scan(d):
+    """Step 1e-3 up to the bound and its last double below, or for an
+    unbounded form to 40 and then out to 1e200 in quarter decades."""
+    if math.isfinite(d.domain_max):
+        n = int(d.domain_max * 1000)
+        return [i * 1e-3 for i in range(n)] + [math.nextafter(d.domain_max, 0.0)]
+    return [i * 1e-3 for i in range(40_001)] + [10.0 ** (e / 4) for e in range(7, 801)]
+
+
+@pytest.mark.parametrize("d", list_approximations(), ids=lambda d: f"phi{d.index}")
+def test_monotone_and_in_range_over_whole_domain(d):
+    vals = [eval_cdf_approx(d.index, z) for z in _domain_scan(d)]
+    assert all(0.0 < v <= 1.0 for v in vals)
+    assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("d", [d for d in list_approximations() if math.isfinite(d.domain_max)],
+                         ids=lambda d: f"phi{d.index}")
+def test_domain_bound_is_where_the_exponent_turns(d):
+    # the exponent decreases within 0.01 past the bound, so the bound is tight
+    top = d.domain_max
+    assert d.y(top + 0.01, None) < d.y(math.nextafter(top, 0.0), None)

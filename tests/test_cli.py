@@ -1,7 +1,10 @@
 """End-to-end CLI behaviour: formats, exit codes, file outputs."""
 
+import contextlib
 import csv
+import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -9,6 +12,8 @@ import sys
 import textwrap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import normapprox
 from normapprox import (GRID_A, GRID_B, compute_error_report, inverse_table,
@@ -184,6 +189,22 @@ def test_eval_domain_error_exit_2(capsys):
     assert run(capsys, "eval", "--approx", "2", "9.5")[0] == 2
 
 
+@pytest.mark.parametrize("approx", ["4", "6", "7"])
+def test_eval_saturates_where_the_exponent_overflows(capsys, approx):
+    code, out, _ = run(capsys, "eval", "--approx", approx, "--format", "csv",
+                       "--", "1e200", "-1e200")
+    assert code == 0
+    assert out.splitlines()[1:] == ["1e+200,1.0", "-1e+200,0.0"]
+
+
+@pytest.mark.parametrize("approx", ["5", "8"])
+def test_eval_past_turning_point_exit_2(capsys, approx):
+    code, out, err = run(capsys, "eval", "--approx", approx, "8")
+    assert code == 2
+    assert out == ""
+    assert "|z| <" in err
+
+
 def test_invert_reflects_small_p(capsys):
     code, out, _ = run(capsys, "invert", "--inverse", "3", "--format", "json",
                        "0.3", "0.5")
@@ -195,6 +216,30 @@ def test_invert_reflects_small_p(capsys):
 
 def test_invert_rejects_unit_probability(capsys):
     assert run(capsys, "invert", "1.0")[0] == 2
+
+
+@pytest.mark.parametrize("p", ["1e-320", "1e-17"])
+def test_invert_names_the_domain_when_reflection_fails(capsys, p):
+    code, _, err = run(capsys, "invert", "--", p)
+    assert code == 2
+    assert "0 < p < 1" in err
+    assert "1 - p rounds to 1" in err
+
+
+_EXTREME_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([1e308, -1e308, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     0.0, -0.0, math.nan, math.inf, -math.inf]))
+
+
+@given(st.integers(1, 9), st.integers(1, 3), _EXTREME_FLOATS)
+@settings(max_examples=300, deadline=None)
+def test_eval_and_invert_exit_cleanly_on_any_float(approx, inverse, x):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        codes = {main(["eval", "--approx", str(approx), "--", repr(x)]),
+                 main(["invert", "--inverse", str(inverse), "--", repr(x)])}
+    assert codes <= {0, 2, 3}
 
 
 def test_unknown_format_exit_2(capsys):

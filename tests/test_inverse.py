@@ -109,6 +109,17 @@ def test_dispatch_matches_direct():
     assert quantile_approx(2, ref_cdf(2.0)) == pytest.approx(1.9993, abs=1.001e-4)
 
 
+def test_dispatch_reflects_small_p():
+    assert quantile_approx(3, 0.3) == -z3_proposed(1.0 - 0.3)
+    assert quantile_approx(1, 1e-3) == -z1_schmeiser(1.0 - 1e-3)
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5, math.nan, 1e-320, 1e-17])
+def test_dispatch_domain_is_open_unit_interval(bad):
+    with pytest.raises(DomainError, match="0 < p < 1"):
+        quantile_approx(2, bad)
+
+
 def test_dispatch_rejects_unknown_id():
     with pytest.raises(DomainError):
         quantile_approx(4, 0.7)

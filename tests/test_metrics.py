@@ -4,21 +4,21 @@ import math
 
 import pytest
 
-from normapprox import (DomainError, GRID_A, GRID_B, GridSpec, build_grid,
+from normapprox import (DomainError, GRID_A, GRID_B, GridSpec,
                         compute_error_report, error_curve, inverse_table,
                         ref_cdf)
 from normapprox.metrics import DEFAULT_INVERSE_GRID
 
 
 def test_grid_a_has_401_points():
-    pts = build_grid(GRID_A)
+    pts = GRID_A.points()
     assert len(pts) == GRID_A.count == 401
     assert pts[0] == 0.0
     assert pts[-1] == pytest.approx(4.0, abs=1e-12)
 
 
 def test_grid_b_has_5001_points():
-    pts = build_grid(GRID_B)
+    pts = GRID_B.points()
     assert len(pts) == 5001
     assert pts[-1] == pytest.approx(5.0, abs=1e-12)
 
@@ -45,7 +45,7 @@ def test_error_report_phi5_grid_b():
     assert rep.mxae == pytest.approx(4.37e-5, rel=0.02)
     assert rep.mae == pytest.approx(1.69e-5, rel=0.02)
     assert rep.mxae >= rep.mae >= 0.0
-    assert rep.mxae_location in build_grid(GRID_B)
+    assert rep.mxae_location in GRID_B.points()
 
 
 def test_error_report_is_deterministic():

@@ -178,7 +178,10 @@ def eval_cdf_approx(approx_id: int, z: float,
     otherwise.  Raises DomainError for z < 0 (use eval_cdf_extended), for z
     outside the form's domain, and for unknown ids.
     """
-    z = float(z)
+    try:
+        z = float(z)
+    except OverflowError:  # to_float, inlined on a hot path
+        z = math.inf if z > 0 else -math.inf
     d = _BY_INDEX.get(approx_id) or descriptor(approx_id)  # descriptor() raises
     if not 0.0 <= z < d.domain_max:
         raise _domain_error(d, z)
@@ -206,7 +209,10 @@ def _domain_error(d: ApproxDescriptor, z: float) -> DomainError:
 def eval_cdf_extended(approx_id: int, z: float,
                       coeffs: Phi9Coefficients | None = None) -> float:
     """Approximation extended to negative z via Phi(z) = 1 - Phi(-z)."""
-    z = float(z)
+    try:
+        z = float(z)
+    except OverflowError:  # to_float, inlined on a hot path
+        z = math.inf if z > 0 else -math.inf
     if z >= 0.0:
         return eval_cdf_approx(approx_id, z, coeffs)
     return 1.0 - eval_cdf_approx(approx_id, -z, coeffs)

@@ -13,12 +13,15 @@ Pure functions, no shared state.
 
 import math
 
-from .errors import DomainError
+from .errors import DomainError, to_float
 
 
 def _check_p(p: float) -> float:
-    p = float(p)
-    if not math.isfinite(p) or p < 0.5 or p >= 1.0:
+    try:
+        p = float(p)
+    except OverflowError:  # to_float, inlined on a hot path
+        p = math.inf if p > 0 else -math.inf
+    if not 0.5 <= p < 1.0:
         raise DomainError("quantile approximations require 0.5 <= p < 1")
     return p
 
@@ -55,7 +58,7 @@ def z3_proposed(p: float) -> float:
 def polya_cdf(z: float) -> float:
     """The invertible CDF approximation 0.5*(1 + sqrt(1 - e^(-(2/pi) z^2)))
     that seeds z3_proposed; z >= 0."""
-    z = float(z)
+    z = to_float(z)
     if not math.isfinite(z) or z < 0.0:
         raise DomainError("polya_cdf requires z >= 0")
     return 0.5 * (1.0 + math.sqrt(1.0 - math.exp(-(2.0 / math.pi) * z * z)))

@@ -13,8 +13,10 @@ from functools import lru_cache
 
 from . import inverse
 from .approximations import Phi9Coefficients, descriptor, eval_cdf_approx
-from .errors import DomainError
+from .errors import DomainError, to_float
 from .reference import ref_cdf
+
+MAX_GRID_POINTS = 1_000_000  # 200 x GRID_B; bounds what a CLI grid allocates
 
 
 @dataclass(frozen=True)
@@ -30,13 +32,15 @@ class GridSpec:
     step: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.start, self.stop, self.step)):
+        if not all(math.isfinite(to_float(v)) for v in (self.start, self.stop, self.step)):
             raise DomainError("grid bounds and step must be finite")
         if self.step <= 0.0:
             raise DomainError("grid step must be positive")
         if self.stop <= self.start:
             raise DomainError("grid stop must exceed start")
         ratio = (self.stop - self.start) / self.step
+        if not ratio < MAX_GRID_POINTS:  # also rejects an overflowed inf
+            raise DomainError(f"grid has more than {MAX_GRID_POINTS:,} points")
         if abs(ratio - round(ratio)) > 1e-6 * max(1.0, abs(ratio)):
             raise DomainError("grid step must evenly divide stop - start")
 
@@ -136,7 +140,7 @@ def inverse_table(z_values=None) -> list[InverseRow]:
         z_values = DEFAULT_INVERSE_GRID.points()
     rows = []
     for z in z_values:
-        z = float(z)
+        z = to_float(z)
         if not math.isfinite(z) or z < 0.0:
             raise DomainError("inverse_table requires z >= 0")
         p = ref_cdf(z)

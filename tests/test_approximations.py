@@ -1,6 +1,7 @@
 """Registry metadata, closed-form values, reflection and shape properties."""
 
 import math
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 
 from normapprox import (DEFAULT_PHI9, DomainError, GRID_A, GRID_B, GridSpec,
                         Phi9Coefficients, eval_cdf_approx,
-                        eval_cdf_extended, list_approximations,
-                        phi9_linear_coefficient)
+                        eval_cdf_extended, inverse_table, list_approximations,
+                        phi9_linear_coefficient, polya_cdf, ref_cdf, ref_pdf,
+                        ref_quantile, z1_schmeiser)
 from goldens import TABLE2
 
 ALL_IDS = range(1, 10)
@@ -128,6 +130,18 @@ def test_negative_z_rejected():
 def test_negative_z_error_names_symmetric_domain():
     with pytest.raises(DomainError, match=r"\|z\| < 6\.24"):
         eval_cdf_extended(8, -8.0)
+
+
+@pytest.mark.parametrize("fn", [
+    partial(eval_cdf_approx, 1), partial(eval_cdf_extended, 1), ref_cdf, ref_pdf,
+    ref_quantile, z1_schmeiser, polya_cdf, lambda z: inverse_table([z]),
+    lambda z: GridSpec(0.0, z, 1.0)],
+    ids=["eval_cdf_approx", "eval_cdf_extended", "ref_cdf", "ref_pdf",
+         "ref_quantile", "z1_schmeiser", "polya_cdf", "inverse_table", "GridSpec"])
+@pytest.mark.parametrize("x", [10**400, -10**400], ids=["+10**400", "-10**400"])
+def test_integer_beyond_double_range_is_domain_error(fn, x):
+    with pytest.raises(DomainError):
+        fn(x)
 
 
 def test_lin_domain_edge_is_hard_error():

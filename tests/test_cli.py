@@ -87,6 +87,15 @@ def test_table2_rejects_lin_breaking_grid(capsys):
     assert "error" in err.lower()
 
 
+@pytest.mark.parametrize("flags", [["--grid-step", "1e-9"], ["--grid-step", "1e-320"],
+                                   ["--grid-start=-1e308", "--grid-stop", "1e308"]])
+def test_table2_rejects_oversized_grid(capsys, flags):
+    code, out, err = run(capsys, "table2", *flags)
+    assert code == 2
+    assert out == ""
+    assert "1,000,000 points" in err
+
+
 def test_table34_markdown_sections(capsys):
     code, out, _ = run(capsys, "table34")
     assert code == 0

@@ -7,7 +7,7 @@ import pytest
 from normapprox import (DomainError, GRID_A, GRID_B, GridSpec,
                         compute_error_report, error_curve, inverse_table,
                         ref_cdf)
-from normapprox.metrics import DEFAULT_INVERSE_GRID
+from normapprox.metrics import DEFAULT_INVERSE_GRID, MAX_GRID_POINTS
 
 
 def test_grid_a_has_401_points():
@@ -33,6 +33,18 @@ def test_nonpositive_step_rejected():
         GridSpec(0.0, 1.0, 0.0)
     with pytest.raises(DomainError):
         GridSpec(0.0, 1.0, -0.1)
+
+
+@pytest.mark.parametrize("spec", [(0.0, 5.0, 1e-9), (0.0, 5.0, 1e-320),
+                                  (-1e308, 1e308, 0.001)])
+def test_grid_point_count_is_capped(spec):
+    # rejected by validation, before any point is built
+    with pytest.raises(DomainError, match="1,000,000 points"):
+        GridSpec(*spec)
+
+
+def test_grid_at_the_point_cap_is_accepted():
+    assert GridSpec(0.0, 999.999, 0.001).count == MAX_GRID_POINTS
 
 
 def test_incommensurate_step_rejected():

@@ -1,6 +1,8 @@
 """Oracle tests: dual-method agreement, symmetry, tails, quantile behaviour."""
 
 import math
+import os
+import subprocess
 import sys
 
 import mpmath
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import normapprox
 from normapprox import (DomainError, GridSpec, oracle_cross_check,
                         quadrature_cdf, ref_cdf, ref_quantile)
 
@@ -124,7 +127,7 @@ def test_quantile_rejects_out_of_domain(bad):
         ref_quantile(bad)
 
 
-@given(st.floats(min_value=1e-300, max_value=1.0, exclude_max=True))
+@given(st.floats(min_value=5e-324, max_value=1.0, exclude_max=True))
 @settings(max_examples=200, deadline=None)
 def test_quantile_satisfies_cdf_contract(p):
     z = ref_quantile(p)
@@ -132,9 +135,45 @@ def test_quantile_satisfies_cdf_contract(p):
 
 
 def test_quantile_far_tail_position():
-    # log-space Newton must reach the far tail, not stall short of it
+    # the far-tail region of AS 241 must reach p = 1e-300, not stop short of it
     z = ref_quantile(1e-300)
     assert -37.2 < z < -36.9
+
+
+# p = 1 - 2^-k up to the last double below 1, deep lower tails, and a
+# uniform sweep of the body
+QUANTILE_GATE_PS = ([1.0 - 2.0**-k for k in range(1, 54)]
+                    + [10.0**-k for k in range(3, 301, 3)]
+                    + [i / 64 for i in range(1, 64)])
+
+
+def _exact_quantile(p: float, seed: float):
+    # 50-digit root of Phi(t) = p, solved for the smaller tail mass in log
+    # form so that the residual stays well scaled down to p = 1e-300
+    q = min(mpmath.mpf(p), 1 - mpmath.mpf(p))
+    s = mpmath.findroot(lambda s: mpmath.log(mpmath.ncdf(-s)) - mpmath.log(q),
+                        abs(seed))
+    return -s if p < 0.5 else s
+
+
+def test_quantile_relative_accuracy_against_mpmath():
+    # measured worst 6.3e-16; findroot refines from the value under test, and
+    # the root it converges to does not depend on where it starts
+    with mpmath.workdps(50):
+        for p in QUANTILE_GATE_PS:
+            z = ref_quantile(p)
+            exact = _exact_quantile(p, z)
+            assert abs(mpmath.mpf(z) - exact) <= 1e-14 * abs(exact), p
+
+
+def test_import_leaves_statistics_unimported():
+    # statistics costs about 5 ms of every fresh process's start-up and serves
+    # only ref_quantile, which no CLI command calls
+    src = os.path.dirname(os.path.dirname(normapprox.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", "import normapprox, sys; print('statistics' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
+    assert done.stdout.split() == ["False"], done.stderr
 
 
 @pytest.mark.parametrize("z", [0.5 * i for i in range(10)])  # 0 .. 4.5
@@ -142,7 +181,7 @@ def test_round_trip_within_information_limit(z):
     """z-space round trip at the accuracy the rounded p supports.
 
     For z <= 4.5 the half-ulp rounding of p = Phi(z) perturbs the exact
-    quantile by less than 1e-12, so the solver must come back that close.
+    quantile by less than 1e-12, so ref_quantile must come back that close.
     Beyond (z >= 5) the rounding alone costs 3e-11 .. 9e-9; the strict 1e-12
     assertion for those points lives in the acceptance suite, where its
     infeasibility is documented.

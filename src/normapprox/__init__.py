@@ -12,7 +12,7 @@ from .metrics import (DEFAULT_INVERSE_GRID, GRID_A, GRID_B, ErrorReport,
                       error_curve, inverse_table)
 from .reconcile import (CoefficientVariant, ReconciliationReport,
                         generate_variants, reconcile_phi9, write_report)
-from .reference import (oracle_cross_check, quadrature_cdf, ref_cdf, ref_pdf,
+from .reference import (oracle_cross_check, quadrature_cdf, ref_cdf,
                         ref_quantile)
 
 __version__ = "0.1.0"
@@ -45,7 +45,6 @@ __all__ = [
     "quantile_approx",
     "reconcile_phi9",
     "ref_cdf",
-    "ref_pdf",
     "ref_quantile",
     "write_report",
     "z1_schmeiser",

@@ -13,7 +13,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, to_float
 
 _PI = math.pi
 _SQRT_PI = math.sqrt(_PI)
@@ -86,23 +86,20 @@ DEFAULT_PHI9 = Phi9Coefficients(k=phi9_reading(_DEFAULT_TAGS),
                                 variant_tag="-".join(_DEFAULT_TAGS))
 
 
-def phi9_linear_coefficient(z: float, coeffs: Phi9Coefficients | None = None) -> float:
-    """Horner evaluation of a(z) = sum_j k_j z^(j-1); intended for z >= 0."""
-    k = (coeffs or DEFAULT_PHI9).k
-    acc = k[-1]
-    for c in reversed(k[:-1]):
+def _horner(z: float, k: tuple[float, ...]) -> float:
+    # a(z) = sum_j k_j z^(j-1); the one Horner loop of the library
+    acc = 0.0
+    for c in reversed(k):
         acc = acc * z + c
     return acc
 
 
-def _y_proposed(z: float, coeffs: Phi9Coefficients | None) -> float:
-    # z * phi9_linear_coefficient(z, coeffs), with the Horner loop repeated
-    # here: a nested call costs about 7% of each phi9 evaluation
-    k = (coeffs or DEFAULT_PHI9).k
-    acc = k[-1]
-    for c in reversed(k[:-1]):
-        acc = acc * z + c
-    return acc * z
+def phi9_linear_coefficient(z: float, coeffs: Phi9Coefficients | None = None) -> float:
+    """a(z) = sum_j k_j z^(j-1) by Horner; DomainError unless z is finite."""
+    z = to_float(z)
+    if not math.isfinite(z):
+        raise DomainError("phi9_linear_coefficient requires a finite abscissa")
+    return _horner(z, (coeffs or DEFAULT_PHI9).k)
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,7 +148,8 @@ _DESCRIPTORS = (
                      lambda z, _: (1.5957764 * z + 0.0726161 * z**3 + 0.00003318 * z**6
                                    - 0.00021785 * z**7 + 0.00006293 * z**8
                                    - 0.00000519 * z**9)),
-    ApproxDescriptor(9, "proposed", math.inf, 4.43e-10, 9.62e-11, _y_proposed),
+    ApproxDescriptor(9, "proposed", math.inf, 4.43e-10, 9.62e-11,
+                     lambda z, c: _horner(z, (c or DEFAULT_PHI9).k) * z),
 )
 
 _BY_INDEX = {d.index: d for d in _DESCRIPTORS}
@@ -208,11 +206,8 @@ def _domain_error(d: ApproxDescriptor, z: float) -> DomainError:
 
 def eval_cdf_extended(approx_id: int, z: float,
                       coeffs: Phi9Coefficients | None = None) -> float:
-    """Approximation extended to negative z via Phi(z) = 1 - Phi(-z)."""
-    try:
-        z = float(z)
-    except OverflowError:  # to_float, inlined on a hot path
-        z = math.inf if z > 0 else -math.inf
+    """Approximation extended to negative z via Phi(z) = 1 - Phi(-z);
+    eval_cdf_approx converts and checks the argument."""
     if z >= 0.0:
         return eval_cdf_approx(approx_id, z, coeffs)
     return 1.0 - eval_cdf_approx(approx_id, -z, coeffs)

@@ -12,6 +12,7 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import partial
+from itertools import cycle, islice
 from pathlib import Path
 
 from . import __version__
@@ -25,6 +26,7 @@ from .reconcile import reconcile_phi9, write_report
 from .reference import ref_cdf
 
 _BENCH_MIN_EVALS = 1_000_000
+_BENCH_MAX_EVALS = 10_000_000  # ten times the minimum: over a minute per run
 _WARMUP_EVALS = 20_000
 _FIG2_GRID = GridSpec(0.0, 4.8, 0.01)
 
@@ -182,18 +184,16 @@ def cmd_curves(args) -> int:
 def run_bench(evals: int) -> list[BenchResult]:
     """Time each approximation plus the oracle over grid-cycled inputs."""
     points = GRID_A.points()
-    data = [points[i % len(points)] for i in range(evals)]
-    warm = data[:_WARMUP_EVALS]
     subjects = [(f"phi{d.index}", partial(eval_cdf_approx, d.index))
                 for d in list_approximations()]
     subjects.append(("oracle", ref_cdf))
     results = []
     sink = 0.0
     for label, fn in subjects:
-        for z in warm:
+        for z in islice(cycle(points), _WARMUP_EVALS):
             sink += fn(z)
         t0 = time.perf_counter()
-        for z in data:
+        for z in islice(cycle(points), evals):
             sink += fn(z)
         results.append(BenchResult(subject=label, evaluations=evals,
                                    wall_time=time.perf_counter() - t0))
@@ -202,8 +202,9 @@ def run_bench(evals: int) -> list[BenchResult]:
 
 
 def cmd_bench(args) -> int:
-    if args.evals < _BENCH_MIN_EVALS:
-        raise DomainError(f"--evals must be at least {_BENCH_MIN_EVALS} per subject")
+    if not _BENCH_MIN_EVALS <= args.evals <= _BENCH_MAX_EVALS:
+        raise DomainError(f"--evals must be from {_BENCH_MIN_EVALS} to "
+                          f"{_BENCH_MAX_EVALS} per subject")
     results = run_bench(args.evals)
     headers = ["subject", "evaluations", "wall_s", "per_eval_ns",
                "wall_time_full", "per_eval_full"]

@@ -32,13 +32,14 @@ class GridSpec:
     step: float
 
     def __post_init__(self):
-        if not all(math.isfinite(to_float(v)) for v in (self.start, self.stop, self.step)):
+        start, stop, step = (to_float(v) for v in (self.start, self.stop, self.step))
+        if not all(math.isfinite(v) for v in (start, stop, step)):
             raise DomainError("grid bounds and step must be finite")
         if self.step <= 0.0:
             raise DomainError("grid step must be positive")
         if self.stop <= self.start:
             raise DomainError("grid stop must exceed start")
-        ratio = (self.stop - self.start) / self.step
+        ratio = (stop - start) / step  # in floats: a huge ratio is inf, not OverflowError
         if not ratio < MAX_GRID_POINTS:  # also rejects an overflowed inf
             raise DomainError(f"grid has more than {MAX_GRID_POINTS:,} points")
         if abs(ratio - round(ratio)) > 1e-6 * max(1.0, abs(ratio)):

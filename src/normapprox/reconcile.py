@@ -53,7 +53,6 @@ class ReconciliationReport:
 
     variants: tuple[tuple[CoefficientVariant, ErrorReport], ...]
     selected: str
-    target_mxae: float
     gate_passed: bool
     notes: str
 
@@ -106,7 +105,6 @@ def reconcile_phi9(spec: GridSpec = GRID_B) -> ReconciliationReport:
     return ReconciliationReport(
         variants=scored,
         selected=best_variant.label,
-        target_mxae=TARGET_MXAE,
         gate_passed=gate,
         notes=notes,
     )
@@ -124,7 +122,7 @@ def format_report(report: ReconciliationReport) -> str:
         f"grid_stop: {grid.stop!r}",
         f"grid_step: {grid.step!r}",
         f"grid_count: {grid.count}",
-        f"target_mxae: {report.target_mxae:.3e}",
+        f"target_mxae: {TARGET_MXAE:.3e}",
         f"target_mae: {TARGET_MAE:.3e}",
         f"target_argmax: {TARGET_ARGMAX}",
         f"gate: mxae <= {GATE_MXAE:.1e} and |argmax - {TARGET_ARGMAX}| <= {GATE_ARGMAX_TOL}",

@@ -6,10 +6,10 @@ directly rather than as one minus a nearby number, so small tail masses keep
 their *relative* accuracy.  Against mpmath at 50 digits its worst absolute
 error on ``|z| <= 8`` is about 1.2e-16 and its worst relative error down to
 the underflow limit (``z ~ -37.5``) about 1.9e-13; the test suite gates both.
-``quadrature_cdf`` re-derives any value by adaptive quadrature of the density,
-an independent route that ``oracle_cross_check`` uses to gate the
-disagreement at 1e-14.  No command of the CLI needs it, so scipy is imported
-only when it runs.
+``quadrature_cdf`` re-derives any value by adaptive quadrature of the density
+(the module's only density, a private integrand), an independent route that
+``oracle_cross_check`` uses to gate the disagreement at 1e-14.  No command of
+the CLI needs it, so scipy is imported only when it runs.
 
 ``ref_quantile`` is Wichura's AS 241 (1988) rational approximation, as
 ``statistics.NormalDist.inv_cdf`` ships it, imported on the first call.  It
@@ -30,14 +30,6 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _QUAD_LOWER = -40.0  # density underflows far before this point
 
 
-def _exp_neg_square(x: float) -> float:
-    """e^(-x^2) with a split argument, so the x*x rounding does not leak into
-    the exponential's relative error."""
-    xh = round(x * 16.0) / 16.0
-    d = x - xh
-    return math.exp(-xh * xh) * math.exp(-d * (x + xh))
-
-
 def ref_cdf(z: float) -> float:
     """Standard normal CDF, absolute error <= 1e-15 on |z| <= 8 and relative
     tail error <= 1e-12 beyond (until the tail underflows around |z| ~ 37.5).
@@ -53,21 +45,13 @@ def ref_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / _SQRT2)
 
 
-def ref_pdf(z: float) -> float:
-    """Standard normal density."""
-    z = to_float(z)
-    if not math.isfinite(z):
-        raise DomainError("ref_pdf requires a finite abscissa")
-    return _INV_SQRT_2PI * _exp_neg_square(z / _SQRT2)
-
-
 def _density(t: float) -> float:
-    # quadrature integrand, deliberately independent of erfc and of the
-    # split exponential in ref_pdf
+    # the standard normal density, integrated by quadrature_cdf;
+    # deliberately independent of erfc
     return math.exp(-0.5 * t * t) * _INV_SQRT_2PI
 
 
-def quadrature_cdf(z: float, tol: float = 1e-16) -> float:
+def quadrature_cdf(z: float) -> float:
     """Phi(z) by adaptive quadrature of the density over (-40, z].
 
     This is the independent cross-check route: it integrates the plain
@@ -80,7 +64,7 @@ def quadrature_cdf(z: float, tol: float = 1e-16) -> float:
         raise DomainError("quadrature_cdf requires a finite abscissa")
     from scipy.integrate import quad
     # full_output suppresses the roundoff-limit warning near machine precision
-    return quad(_density, _QUAD_LOWER, z, epsabs=tol, epsrel=1e-13,
+    return quad(_density, _QUAD_LOWER, z, epsabs=1e-16, epsrel=1e-13,
                 limit=300, full_output=1)[0]
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from normapprox import (DEFAULT_PHI9, DomainError, GRID_A, GRID_B, GridSpec,
                         Phi9Coefficients, eval_cdf_approx,
                         eval_cdf_extended, inverse_table, list_approximations,
-                        phi9_linear_coefficient, polya_cdf, ref_cdf, ref_pdf,
+                        phi9_linear_coefficient, polya_cdf, ref_cdf,
                         ref_quantile, z1_schmeiser)
 from goldens import TABLE2
 
@@ -122,6 +122,20 @@ def test_phi9_exponent_is_z_times_linear_coefficient():
                    for z in GRID_A.points())
 
 
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+def test_phi9_coefficient_rejects_non_finite(z):
+    with pytest.raises(DomainError, match="finite"):
+        phi9_linear_coefficient(z)
+
+
+def test_extended_leaves_conversion_to_eval_cdf_approx():
+    # only compares and negates, so a string is a TypeError, as in
+    # quantile_approx, and -0.0 goes to the direct form unchanged
+    with pytest.raises(TypeError):
+        eval_cdf_extended(1, "1.5")
+    assert eval_cdf_extended(1, -0.0) == eval_cdf_approx(1, -0.0) == 0.5
+
+
 def test_negative_z_rejected():
     with pytest.raises(DomainError):
         eval_cdf_approx(1, -0.1)
@@ -133,11 +147,12 @@ def test_negative_z_error_names_symmetric_domain():
 
 
 @pytest.mark.parametrize("fn", [
-    partial(eval_cdf_approx, 1), partial(eval_cdf_extended, 1), ref_cdf, ref_pdf,
+    partial(eval_cdf_approx, 1), partial(eval_cdf_extended, 1), ref_cdf,
     ref_quantile, z1_schmeiser, polya_cdf, lambda z: inverse_table([z]),
-    lambda z: GridSpec(0.0, z, 1.0)],
-    ids=["eval_cdf_approx", "eval_cdf_extended", "ref_cdf", "ref_pdf",
-         "ref_quantile", "z1_schmeiser", "polya_cdf", "inverse_table", "GridSpec"])
+    lambda z: GridSpec(0.0, z, 1.0), phi9_linear_coefficient],
+    ids=["eval_cdf_approx", "eval_cdf_extended", "ref_cdf", "ref_quantile",
+         "z1_schmeiser", "polya_cdf", "inverse_table", "GridSpec",
+         "phi9_linear_coefficient"])
 @pytest.mark.parametrize("x", [10**400, -10**400], ids=["+10**400", "-10**400"])
 def test_integer_beyond_double_range_is_domain_error(fn, x):
     with pytest.raises(DomainError):

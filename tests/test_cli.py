@@ -165,6 +165,14 @@ def test_bench_enforces_minimum_evaluations(capsys):
     assert "1000000" in err
 
 
+def test_bench_caps_evaluations(capsys):
+    # rejected by validation; nothing of the rejected size is run or built
+    code, out, err = run(capsys, "bench", "--evals", "10000001")
+    assert code == 2
+    assert out == ""
+    assert "10000000" in err
+
+
 def test_reconcile_writes_report(tmp_path, capsys):
     path = tmp_path / "rec.txt"
     code, out, _ = run(capsys, "reconcile", "--grid-stop", "4", "--grid-step", "0.01",

@@ -36,7 +36,7 @@ def test_nonpositive_step_rejected():
 
 
 @pytest.mark.parametrize("spec", [(0.0, 5.0, 1e-9), (0.0, 5.0, 1e-320),
-                                  (-1e308, 1e308, 0.001)])
+                                  (-1e308, 1e308, 0.001), (-10**308, 10**308, 1)])
 def test_grid_point_count_is_capped(spec):
     # rejected by validation, before any point is built
     with pytest.raises(DomainError, match="1,000,000 points"):

@@ -11,7 +11,7 @@ from .metrics import (DEFAULT_INVERSE_GRID, GRID_A, GRID_B, ErrorReport,
                       GridSpec, InverseRow, compute_error_report,
                       error_curve, inverse_table)
 from .reconcile import (CoefficientVariant, ReconciliationReport,
-                        generate_variants, reconcile_phi9, write_report)
+                        generate_variants, reconcile_phi9)
 from .reference import (oracle_cross_check, quadrature_cdf, ref_cdf,
                         ref_quantile)
 
@@ -46,7 +46,6 @@ __all__ = [
     "reconcile_phi9",
     "ref_cdf",
     "ref_quantile",
-    "write_report",
     "z1_schmeiser",
     "z2_shore",
     "z3_proposed",

@@ -204,10 +204,9 @@ def _domain_error(d: ApproxDescriptor, z: float) -> DomainError:
     return DomainError(f"{d.name} holds only for |z| < {d.domain_max:g}")
 
 
-def eval_cdf_extended(approx_id: int, z: float,
-                      coeffs: Phi9Coefficients | None = None) -> float:
+def eval_cdf_extended(approx_id: int, z: float) -> float:
     """Approximation extended to negative z via Phi(z) = 1 - Phi(-z);
     eval_cdf_approx converts and checks the argument."""
     if z >= 0.0:
-        return eval_cdf_approx(approx_id, z, coeffs)
-    return 1.0 - eval_cdf_approx(approx_id, -z, coeffs)
+        return eval_cdf_approx(approx_id, z)
+    return 1.0 - eval_cdf_approx(approx_id, -z)

@@ -10,7 +10,6 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass
 from functools import partial
 from itertools import cycle, islice
 from pathlib import Path
@@ -22,26 +21,13 @@ from .errors import DomainError
 from .inverse import quantile_approx
 from .metrics import (DEFAULT_INVERSE_GRID, GRID_A, GRID_B, GridSpec,
                       compute_error_report, error_curve, inverse_table)
-from .reconcile import reconcile_phi9, write_report
+from .reconcile import format_report, reconcile_phi9
 from .reference import ref_cdf
 
 _BENCH_MIN_EVALS = 1_000_000
 _BENCH_MAX_EVALS = 10_000_000  # ten times the minimum: over a minute per run
 _WARMUP_EVALS = 20_000
 _FIG2_GRID = GridSpec(0.0, 4.8, 0.01)
-
-
-@dataclass(frozen=True)
-class BenchResult:
-    """Timing of one subject over a fixed number of evaluations."""
-
-    subject: str
-    evaluations: int
-    wall_time: float
-
-    @property
-    def per_eval(self) -> float:
-        return self.wall_time / self.evaluations
 
 
 def _cell(v) -> str:
@@ -104,15 +90,12 @@ def _emit(args, text) -> None:
         sys.stdout.write(text)
 
 
-def _grid_from_args(args, default: GridSpec) -> GridSpec:
-    start = default.start if args.grid_start is None else args.grid_start
-    stop = default.stop if args.grid_stop is None else args.grid_stop
-    step = default.step if args.grid_step is None else args.grid_step
-    return GridSpec(start=start, stop=stop, step=step)
+def _grid_from_args(args) -> GridSpec:
+    return GridSpec(start=args.grid_start, stop=args.grid_stop, step=args.grid_step)
 
 
 def cmd_table2(args) -> int:
-    spec = _grid_from_args(args, GRID_B)
+    spec = _grid_from_args(args)
     headers = ["approx", "name", "mxae", "mae",
                "mxae_full", "mae_full", "mxae_location"]
     rows = []
@@ -127,7 +110,7 @@ def cmd_table2(args) -> int:
 
 
 def cmd_table34(args) -> int:
-    spec = _grid_from_args(args, DEFAULT_INVERSE_GRID)
+    spec = _grid_from_args(args)
     data = inverse_table(spec.points())
     headers = ["z", "p", "zhat1", "zhat2", "zhat3",
                "delta1", "delta2", "delta3",
@@ -152,7 +135,7 @@ def cmd_table34(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    spec = _grid_from_args(args, GRID_A)
+    spec = _grid_from_args(args)
     curve = error_curve(args.approx, spec)
     fig2 = [(r.p, r.delta3) for r in inverse_table(_FIG2_GRID.points())]
 
@@ -181,8 +164,9 @@ def cmd_curves(args) -> int:
     return 0
 
 
-def run_bench(evals: int) -> list[BenchResult]:
-    """Time each approximation plus the oracle over grid-cycled inputs."""
+def run_bench(evals: int) -> list[tuple[str, float]]:
+    """(subject, wall seconds for ``evals`` evaluations) for each
+    approximation plus the oracle, over grid-cycled inputs."""
     points = GRID_A.points()
     subjects = [(f"phi{d.index}", partial(eval_cdf_approx, d.index))
                 for d in list_approximations()]
@@ -195,8 +179,7 @@ def run_bench(evals: int) -> list[BenchResult]:
         t0 = time.perf_counter()
         for z in islice(cycle(points), evals):
             sink += fn(z)
-        results.append(BenchResult(subject=label, evaluations=evals,
-                                   wall_time=time.perf_counter() - t0))
+        results.append((label, time.perf_counter() - t0))
     assert sink > 0.0  # keeps the accumulation observable
     return results
 
@@ -205,12 +188,11 @@ def cmd_bench(args) -> int:
     if not _BENCH_MIN_EVALS <= args.evals <= _BENCH_MAX_EVALS:
         raise DomainError(f"--evals must be from {_BENCH_MIN_EVALS} to "
                           f"{_BENCH_MAX_EVALS} per subject")
-    results = run_bench(args.evals)
     headers = ["subject", "evaluations", "wall_s", "per_eval_ns",
                "wall_time_full", "per_eval_full"]
-    rows = [[r.subject, r.evaluations, f"{r.wall_time:.4f}",
-             f"{r.per_eval * 1e9:.1f}", r.wall_time, r.per_eval]
-            for r in results]
+    rows = [[subject, args.evals, f"{wall:.4f}",
+             f"{wall / args.evals * 1e9:.1f}", wall, wall / args.evals]
+            for subject, wall in run_bench(args.evals)]
     text = _render(args.format, "bench", {"evaluations": args.evals},
                    headers, rows, [("evaluation throughput", headers, rows)])
     _emit(args, text)
@@ -218,10 +200,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_reconcile(args) -> int:
-    spec = _grid_from_args(args, GRID_B)
+    spec = _grid_from_args(args)
     report = reconcile_phi9(spec)
     path = args.output or "phi9_reconciliation.txt"
-    write_report(report, path)
+    Path(path).write_text(format_report(report), encoding="utf-8")
     sel = report.selected_report
     print(f"selected: {report.selected}")
     print(f"selected mxae: {sel.mxae:.6e} at z = {sel.mxae_location!r} "
@@ -246,10 +228,10 @@ def cmd_invert(args) -> int:
     return 0
 
 
-def _add_grid_flags(sp) -> None:
-    sp.add_argument("--grid-start", type=float, default=None, metavar="REAL")
-    sp.add_argument("--grid-stop", type=float, default=None, metavar="REAL")
-    sp.add_argument("--grid-step", type=float, default=None, metavar="REAL")
+def _add_grid_flags(sp, default: GridSpec) -> None:
+    sp.add_argument("--grid-start", type=float, default=default.start, metavar="REAL")
+    sp.add_argument("--grid-stop", type=float, default=default.stop, metavar="REAL")
+    sp.add_argument("--grid-step", type=float, default=default.step, metavar="REAL")
 
 
 def _add_io_flags(sp, default_format="markdown") -> None:
@@ -265,18 +247,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("table2", help="MXAE/MAE summary for phi1..phi9")
-    _add_grid_flags(sp)
+    _add_grid_flags(sp, GRID_B)
     _add_io_flags(sp)
     sp.set_defaults(func=cmd_table2)
 
     sp = sub.add_parser("table34", help="quantile approximations and differences")
-    _add_grid_flags(sp)
+    _add_grid_flags(sp, DEFAULT_INVERSE_GRID)
     _add_io_flags(sp)
     sp.set_defaults(func=cmd_table34)
 
     sp = sub.add_parser("curves", help="figure datasets: signed error curve and delta3(p)")
     sp.add_argument("--approx", type=int, choices=range(1, 10), default=9)
-    _add_grid_flags(sp)
+    _add_grid_flags(sp, GRID_A)
     _add_io_flags(sp, default_format="csv")
     sp.set_defaults(func=cmd_curves)
 
@@ -286,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_bench)
 
     sp = sub.add_parser("reconcile", help="score the phi9 coefficient variants")
-    _add_grid_flags(sp)
+    _add_grid_flags(sp, GRID_B)
     sp.add_argument("--output", default=None, metavar="PATH")
     sp.set_defaults(func=cmd_reconcile)
 

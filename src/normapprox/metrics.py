@@ -23,8 +23,10 @@ MAX_GRID_POINTS = 1_000_000  # 200 x GRID_B; bounds what a CLI grid allocates
 class GridSpec:
     """Inclusive arithmetic progression of abscissae.
 
-    ``step`` must evenly divide ``stop - start`` (to rounding), so the last
-    generated point equals ``stop`` up to one rounding unit.
+    ``step`` must evenly divide ``stop - start`` to within 1e-6 of their
+    ratio, so the last generated point, ``start + (count - 1) * step``, can
+    miss ``stop`` by up to 1e-6 of the span (of one step, if that is longer):
+    ``GridSpec(0.0, 8.9999999, 0.5)`` ends at 9.0.
     """
 
     start: float
@@ -98,8 +100,10 @@ def _checked_refs(approx_id: int, spec: GridSpec) -> tuple[float, ...]:
     if spec.start < 0.0:
         raise DomainError("approximation grids require z >= 0")
     d = descriptor(approx_id)
-    if spec.stop >= d.domain_max:
-        raise DomainError(f"grid stop {spec.stop:g} is outside the domain of "
+    # the grid really stops at its last point, which may overshoot spec.stop
+    last = spec.start + (spec.count - 1) * spec.step
+    if last >= d.domain_max:
+        raise DomainError(f"grid stop {last:g} is outside the domain of "
                           f"{d.name}, |z| < {d.domain_max:g}")
     return _ref_values(spec)
 
@@ -122,11 +126,10 @@ def compute_error_report(approx_id: int, spec: GridSpec,
                        mxae_location=mxae_location, mae=math.fsum(errs) / len(errs))
 
 
-def error_curve(approx_id: int, spec: GridSpec,
-                coeffs: Phi9Coefficients | None = None) -> list[tuple[float, float]]:
+def error_curve(approx_id: int, spec: GridSpec) -> list[tuple[float, float]]:
     """Signed differences (approximation - reference) in grid order."""
     refs = _checked_refs(approx_id, spec)
-    return [(z, eval_cdf_approx(approx_id, z, coeffs) - r)
+    return [(z, eval_cdf_approx(approx_id, z) - r)
             for z, r in zip(spec.points(), refs)]
 
 

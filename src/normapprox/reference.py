@@ -68,15 +68,11 @@ def quadrature_cdf(z: float) -> float:
                 limit=300, full_output=1)[0]
 
 
-def oracle_cross_check(grid) -> float:
-    """Maximum |ref_cdf - quadrature_cdf| over a grid with |z| <= 8.
-
-    ``grid`` is anything with a ``points()`` method (a GridSpec) or a plain
-    iterable of abscissae.
-    """
-    pts = grid.points() if hasattr(grid, "points") else [to_float(z) for z in grid]
+def oracle_cross_check(abscissae) -> float:
+    """Maximum |ref_cdf - quadrature_cdf| over abscissae with |z| <= 8
+    (for a GridSpec, pass its ``points()``)."""
     worst = 0.0
-    for z in pts:
+    for z in map(to_float, abscissae):
         if not math.isfinite(z) or abs(z) > 8.0:
             raise DomainError("oracle_cross_check is gated on |z| <= 8")
         d = abs(ref_cdf(z) - quadrature_cdf(z))

@@ -117,8 +117,8 @@ def test_c4_table4_reproduction():
 
 
 def test_c5_oracle_dual_method_gate():
-    worst_b = oracle_cross_check(GRID_B)
-    worst_a = oracle_cross_check(GRID_A)
+    worst_b = oracle_cross_check(GRID_B.points())
+    worst_a = oracle_cross_check(GRID_A.points())
     ok = worst_b <= 1e-14 and worst_a <= 1e-14
     _report(f"C5 dual-method gate (grids A/B, max {max(worst_a, worst_b):.2e} "
             f"<= 1e-14): {'PASS' if ok else 'FAIL'}")
@@ -242,6 +242,7 @@ def test_c7_bench_command(tmp_path):
     for r in rows:
         assert r["evaluations"] >= 10 ** 6
         assert r["per_eval_full"] > 0.0
+        assert r["per_eval_full"] == r["wall_time_full"] / r["evaluations"]
     per = {r["subject"]: r["per_eval_full"] for r in rows}
     # expectation, not a hard assert: a one-term logistic should not run
     # slower than the dual-branch oracle

@@ -84,6 +84,9 @@ def test_lin_grid_domain_guard():
         compute_error_report(2, GridSpec(0.0, 9.0, 0.5))
     with pytest.raises(DomainError):
         error_curve(2, GridSpec(0.0, 10.0, 0.5))
+    # the last point, 0.0 + 18 * 0.5 = 9.0, overshoots the stop onto the pole
+    with pytest.raises(DomainError, match="outside the domain"):
+        compute_error_report(2, GridSpec(0.0, 8.9999999, 0.5))
 
 
 def test_negative_grid_rejected():

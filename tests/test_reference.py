@@ -95,7 +95,7 @@ def test_monotonicity_fine_grid_nondecreasing():
 
 
 def test_cross_check_default_grid_a():
-    assert oracle_cross_check(GridSpec(0.0, 4.0, 0.01)) <= 1e-14
+    assert oracle_cross_check(GridSpec(0.0, 4.0, 0.01).points()) <= 1e-14
 
 
 def test_cross_check_singleton_zero():

@@ -10,8 +10,7 @@ from .inverse import (d1_poly, polya_cdf, quantile_approx, z1_schmeiser,
 from .metrics import (DEFAULT_INVERSE_GRID, GRID_A, GRID_B, ErrorReport,
                       GridSpec, InverseRow, compute_error_report,
                       error_curve, inverse_table)
-from .reconcile import (CoefficientVariant, ReconciliationReport,
-                        generate_variants, reconcile_phi9)
+from .reconcile import ReconciliationReport, generate_variants, reconcile_phi9
 from .reference import (oracle_cross_check, quadrature_cdf, ref_cdf,
                         ref_quantile)
 
@@ -19,7 +18,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApproxDescriptor",
-    "CoefficientVariant",
     "DEFAULT_INVERSE_GRID",
     "DEFAULT_PHI9",
     "DomainError",

@@ -22,10 +22,12 @@ _SQRT_PI = math.sqrt(_PI)
 @dataclass(frozen=True)
 class Phi9Coefficients:
     """Ordered coefficients k_1..k_17 of the exponent polynomial
-    a(z) = sum_j k_j z^(j-1), tagged with their provenance variant."""
+    a(z) = sum_j k_j z^(j-1), tagged with their provenance variant and with
+    what sets the variant apart from the other printed readings."""
 
     k: tuple[float, ...]
     variant_tag: str
+    notes: str = ""
 
     def __post_init__(self):
         if len(self.k) != 17:
@@ -67,23 +69,33 @@ PHI9_READINGS = {
         ("k8shift", -3.0263611e-4, "k8 exponent shifted to match its neighbours")),
 }
 
+# Combinations of readings that follow one printed source throughout.
+_LITERAL_LABELS = {
+    ("k3print", "k5plus", "k8print"): "table-literal",
+    ("k3print", "k5minus", "k8print"): "prose-literal",
+}
 
-def phi9_reading(tags) -> tuple[float, ...]:
+
+def phi9_reading(tags) -> Phi9Coefficients:
     """K_TABULATED with each entry in doubt read as ``tags`` names it (one tag
-    per PHI9_READINGS position, in order)."""
+    per PHI9_READINGS position, in order), labelled and annotated."""
+    tags = tuple(tags)
     k = list(K_TABULATED)
+    notes = []
     for (pos, readings), tag in zip(PHI9_READINGS.items(), tags, strict=True):
-        k[pos] = next(value for t, value, _ in readings if t == tag)
-    return tuple(k)
+        _, value, note = next(r for r in readings if r[0] == tag)
+        k[pos] = value
+        notes.append(note)
+    return Phi9Coefficients(k=tuple(k),
+                            variant_tag=_LITERAL_LABELS.get(tags, "-".join(tags)),
+                            notes="; ".join(notes))
 
 
 # Default coefficient variant shipped by the library: the winner of
 # reconcile.reconcile_phi9 on the 0..5 step 0.001 grid (minimal grid MXAE
 # among the eight printed-coefficient variants).  Re-run the ``reconcile``
 # CLI command to regenerate the selection evidence.
-_DEFAULT_TAGS = ("k3shift", "k5minus", "k8shift")
-DEFAULT_PHI9 = Phi9Coefficients(k=phi9_reading(_DEFAULT_TAGS),
-                                variant_tag="-".join(_DEFAULT_TAGS))
+DEFAULT_PHI9 = phi9_reading(("k3shift", "k5minus", "k8shift"))
 
 
 def _horner(z: float, k: tuple[float, ...]) -> float:

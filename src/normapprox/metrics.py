@@ -23,10 +23,10 @@ MAX_GRID_POINTS = 1_000_000  # 200 x GRID_B; bounds what a CLI grid allocates
 class GridSpec:
     """Inclusive arithmetic progression of abscissae.
 
-    ``step`` must evenly divide ``stop - start`` to within 1e-6 of their
-    ratio, so the last generated point, ``start + (count - 1) * step``, can
-    miss ``stop`` by up to 1e-6 of the span (of one step, if that is longer):
-    ``GridSpec(0.0, 8.9999999, 0.5)`` ends at 9.0.
+    ``step`` must not exceed ``stop - start`` and must evenly divide it to
+    within 1e-6 of their ratio, so the last generated point,
+    ``start + (count - 1) * step``, can miss ``stop`` by up to 1e-6 of the
+    span: ``GridSpec(0.0, 8.9999999, 0.5)`` ends at 9.0.
     """
 
     start: float
@@ -44,6 +44,8 @@ class GridSpec:
         ratio = (stop - start) / step  # in floats: a huge ratio is inf, not OverflowError
         if not ratio < MAX_GRID_POINTS:  # also rejects an overflowed inf
             raise DomainError(f"grid has more than {MAX_GRID_POINTS:,} points")
+        if round(ratio) < 1:
+            raise DomainError("grid step must not exceed stop - start")
         if abs(ratio - round(ratio)) > 1e-6 * max(1.0, abs(ratio)):
             raise DomainError("grid step must evenly divide stop - start")
 
@@ -67,7 +69,6 @@ class ErrorReport:
     """MXAE with its argmax location plus MAE for one approximation on one
     grid.  Ties at the maximum resolve to the smallest abscissa."""
 
-    approx: int
     grid: GridSpec
     mxae: float
     mxae_location: float
@@ -122,8 +123,8 @@ def compute_error_report(approx_id: int, spec: GridSpec,
         if e > mxae:
             mxae = e
             mxae_location = z
-    return ErrorReport(approx=approx_id, grid=spec, mxae=mxae,
-                       mxae_location=mxae_location, mae=math.fsum(errs) / len(errs))
+    return ErrorReport(grid=spec, mxae=mxae, mxae_location=mxae_location,
+                       mae=math.fsum(errs) / len(errs))
 
 
 def error_curve(approx_id: int, spec: GridSpec) -> list[tuple[float, float]]:
@@ -148,6 +149,9 @@ def inverse_table(z_values=None) -> list[InverseRow]:
         if not math.isfinite(z) or z < 0.0:
             raise DomainError("inverse_table requires z >= 0")
         p = ref_cdf(z)
+        if p == 1.0:
+            raise DomainError("inverse_table requires Phi(z) < 1; "
+                              f"Phi({z:g}) rounds to 1")
         zh1 = inverse.z1_schmeiser(p)
         zh2 = inverse.z2_shore(p)
         zh3 = inverse.z3_proposed(p)

@@ -26,21 +26,6 @@ TARGET_ARGMAX = 0.794634
 GATE_MXAE = 1e-9
 GATE_ARGMAX_TOL = 0.01
 
-# Combinations of readings that follow one printed source throughout.
-_LITERAL_LABELS = {
-    ("k3print", "k5plus", "k8print"): "table-literal",
-    ("k3print", "k5minus", "k8print"): "prose-literal",
-}
-
-
-@dataclass(frozen=True)
-class CoefficientVariant:
-    """One candidate coefficient vector plus what distinguishes it."""
-
-    label: str
-    coefficients: Phi9Coefficients
-    discrepancy_notes: str
-
 
 @dataclass(frozen=True)
 class ReconciliationReport:
@@ -51,54 +36,46 @@ class ReconciliationReport:
     published MXAE gate (<= 1e-9 with the argmax at the published location).
     """
 
-    variants: tuple[tuple[CoefficientVariant, ErrorReport], ...]
+    variants: tuple[tuple[Phi9Coefficients, ErrorReport], ...]
     selected: str
     selected_report: ErrorReport
     gate_passed: bool
     notes: str
 
 
-def generate_variants() -> tuple[CoefficientVariant, ...]:
+def generate_variants() -> tuple[Phi9Coefficients, ...]:
     """The 8 variants from the three flagged positions, in a fixed order.
 
     The all-as-printed combination is labelled ``table-literal``; the one
     matching the running text (negative k5) is ``prose-literal``.
     """
-    variants = []
-    for readings in product(*PHI9_READINGS.values()):
-        tags = tuple(tag for tag, _, _ in readings)
-        label = _LITERAL_LABELS.get(tags, "-".join(tags))
-        variants.append(CoefficientVariant(
-            label=label,
-            coefficients=Phi9Coefficients(k=phi9_reading(tags), variant_tag=label),
-            discrepancy_notes="; ".join(note for _, _, note in readings),
-        ))
-    return tuple(variants)
+    return tuple(phi9_reading(tag for tag, _, _ in readings)
+                 for readings in product(*PHI9_READINGS.values()))
 
 
 def reconcile_phi9(spec: GridSpec = GRID_B) -> ReconciliationReport:
     """Score all variants on ``spec`` and select the minimal MXAE."""
-    scored = tuple((v, compute_error_report(9, spec, v.coefficients))
+    scored = tuple((v, compute_error_report(9, spec, v))
                    for v in generate_variants())
     best_variant, best_report = min(scored, key=lambda vr: vr[1].mxae)
-    ties = [v.label for v, r in scored
-            if r.mxae == best_report.mxae and v.label != best_variant.label]
+    ties = [v.variant_tag for v, r in scored
+            if r.mxae == best_report.mxae and v is not best_variant]
     gate = (best_report.mxae <= GATE_MXAE
             and abs(best_report.mxae_location - TARGET_ARGMAX) <= GATE_ARGMAX_TOL)
     if gate:
-        notes = (f"variant {best_variant.label!r} reproduces the published accuracy: "
-                 f"mxae {best_report.mxae:.3e} at z = {best_report.mxae_location:.6f}")
+        notes = (f"variant {best_variant.variant_tag!r} reproduces the published "
+                 f"accuracy: mxae {best_report.mxae:.3e} at z = {best_report.mxae_location:.6f}")
     else:
         notes = (f"no variant reproduces the published mxae {TARGET_MXAE:.2e} at "
                  f"z = {TARGET_ARGMAX}; best achieved is {best_report.mxae:.3e} at "
-                 f"z = {best_report.mxae_location:.6f} by {best_variant.label!r}, "
+                 f"z = {best_report.mxae_location:.6f} by {best_variant.variant_tag!r}, "
                  f"which ships as the library default")
     if ties:
         notes += ("; mxae ties with " + ", ".join(repr(t) for t in ties)
                   + "; the flagged coefficients are error-insensitive there")
     return ReconciliationReport(
         variants=scored,
-        selected=best_variant.label,
+        selected=best_variant.variant_tag,
         selected_report=best_report,
         gate_passed=gate,
         notes=notes,
@@ -131,9 +108,9 @@ def format_report(report: ReconciliationReport) -> str:
         f"{'variant':<28}{'mxae':<16}{'mae':<16}{'argmax':<12}notes",
     ]
     for variant, rep in report.variants:
-        mark = " *" if variant.label == report.selected else ""
-        lines.append(f"{variant.label + mark:<28}{rep.mxae:<16.6e}{rep.mae:<16.6e}"
-                     f"{rep.mxae_location:<12.4f}{variant.discrepancy_notes}")
+        mark = " *" if variant.variant_tag == report.selected else ""
+        lines.append(f"{variant.variant_tag + mark:<28}{rep.mxae:<16.6e}"
+                     f"{rep.mae:<16.6e}{rep.mxae_location:<12.4f}{variant.notes}")
     lines.append("")
     lines.append("(*) selected variant; embedded as the library default "
                  f"({DEFAULT_PHI9.variant_tag!r})")

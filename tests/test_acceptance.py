@@ -74,7 +74,7 @@ def test_c2_phi9_reconciliation_or_documented_fallback():
     assert "gate_passed: no" in text
     assert "best achieved" in report.notes
     for variant, _ in report.variants:
-        assert variant.label in text
+        assert variant.variant_tag in text
     _report("C2 phi9 reconciliation: PASS (fallback form: 8-variant report, "
             f"best variant {report.selected!r} ships as default, "
             f"mxae {sel.mxae:.3e} vs target {PHI9_TARGET_MXAE:.2e} documented)")

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -81,9 +82,15 @@ def test_table2_grid_override(capsys):
     assert phi1["mxae_full"] == compute_error_report(1, GRID_A).mxae
 
 
-def test_table2_rejects_lin_breaking_grid(capsys):
-    code, _, err = run(capsys, "table2", "--grid-stop", "9.5", "--grid-step", "0.5")
+@pytest.mark.parametrize("flags", [
+    ["--grid-stop", "9.5", "--grid-step", "0.5"],
+    # a step longer than the span would score z = 0 alone
+    ["--grid-stop", "1e-7", "--grid-step", "1"],
+], ids=["lin-pole", "step-exceeds-span"])
+def test_table2_rejects_lin_breaking_grid(capsys, flags):
+    code, out, err = run(capsys, "table2", *flags)
     assert code == 2
+    assert out == ""
     assert "error" in err.lower()
 
 
@@ -129,6 +136,30 @@ def test_table34_csv_round_trips(tmp_path, capsys):
     for row, exp in zip(data, expected):
         assert float(row[header.index("p_full")]) == exp.p
         assert float(row[header.index("delta3_full")]) == exp.delta3
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["table2", "--format", "csv"], "table2.csv"),
+    (["table34", "--format", "csv"], "table34.csv"),
+    (["reconcile"], "reconcile.txt"),
+], ids=["table2", "table34", "reconcile"])
+def test_artefacts_match_golden_bytes(tmp_path, capsys, argv, golden):
+    """Each published artefact, byte for byte, including the ``*_full`` columns.
+
+    The files under tests/golden come from Python 3.11.7 with glibc libm and
+    are regenerated with ``normapprox table2 --format csv --output
+    tests/golden/table2.csv``, ``normapprox table34 --format csv --output
+    tests/golden/table34.csv`` and ``normapprox reconcile --output
+    tests/golden/reconcile.txt``.  A change to any of them is a change to a
+    published number and belongs in CHANGES.md.
+    """
+    path = tmp_path / golden
+    code, _, _ = run(capsys, *argv, "--output", str(path))
+    assert code == 0
+    assert path.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
 def test_curves_writes_both_figures(tmp_path, capsys):

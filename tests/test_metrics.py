@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from normapprox import (DomainError, GRID_A, GRID_B, GridSpec,
+from normapprox import (DomainError, GRID_A, GRID_B, GridSpec, Phi9Coefficients,
                         compute_error_report, error_curve, inverse_table,
                         ref_cdf)
 from normapprox.metrics import DEFAULT_INVERSE_GRID, MAX_GRID_POINTS
@@ -47,9 +47,15 @@ def test_grid_at_the_point_cap_is_accepted():
     assert GridSpec(0.0, 999.999, 0.001).count == MAX_GRID_POINTS
 
 
-def test_incommensurate_step_rejected():
-    with pytest.raises(DomainError):
-        GridSpec(0.0, 4.75, 0.5)
+@pytest.mark.parametrize("start, stop, step, match", [
+    (0.0, 4.75, 0.5, "evenly divide"),
+    # a step longer than the span would leave a one-point grid at start
+    (0.0, 1e-7, 1.0, "must not exceed"),
+    (7.96, 9.0, 1e300, "must not exceed"),
+], ids=["incommensurate", "step-exceeds-tiny-span", "huge-step"])
+def test_incommensurate_step_rejected(start, stop, step, match):
+    with pytest.raises(DomainError, match=match):
+        GridSpec(start, stop, step)
 
 
 def test_error_report_phi5_grid_b():
@@ -95,14 +101,12 @@ def test_negative_grid_rejected():
 
 
 def test_argmax_tie_breaks_to_smallest_abscissa():
-    # strict > while scanning in grid order keeps the first of equal maxima
-    pts = [0.0, 1.0, 2.0, 3.0]
-    errs = [0.5, 0.9, 0.9, 0.1]
-    best, best_at = -1.0, None
-    for z, e in zip(pts, errs):
-        if e > best:
-            best, best_at = e, z
-    assert best_at == 1.0
+    # a(z) = -1e300 puts the CDF at 0 on the whole grid, and the oracle is
+    # exactly 1.0 from 8.5 on, so 8.5, 9, 9.5 and 10 tie at an error of 1.0
+    floor = Phi9Coefficients(k=(-1e300,) + (0.0,) * 16, variant_tag="floor")
+    rep = compute_error_report(9, GridSpec(8.0, 10.0, 0.5), floor)
+    assert rep.mxae == 1.0
+    assert rep.mxae_location == 8.5
 
 
 def test_inverse_table_default_13_rows():
@@ -130,9 +134,14 @@ def test_inverse_table_p_full_precision():
     assert r.delta1 == r.zhat1 - 0.4
 
 
-def test_inverse_table_rejects_negative():
-    with pytest.raises(DomainError):
-        inverse_table([-0.4])
+@pytest.mark.parametrize("z, match", [
+    (-0.4, "z >= 0"),
+    # Phi(z) rounds to 1 from z = 8.29236 on, where no quantile exists
+    (8.3, r"Phi\(8\.3\) rounds to 1"),
+], ids=["negative", "phi-rounds-to-1"])
+def test_inverse_table_rejects_negative(z, match):
+    with pytest.raises(DomainError, match=match):
+        inverse_table([z])
 
 
 def test_default_inverse_grid_is_published_range():

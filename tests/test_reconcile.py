@@ -15,26 +15,26 @@ FLAGGED = (2, 4, 7)  # zero-based positions of k3, k5, k8
 def test_eight_variants_in_fixed_order():
     variants = generate_variants()
     assert len(variants) == 8
-    assert variants[0].label == "table-literal"
-    assert variants[2].label == "prose-literal"
-    assert len({v.label for v in variants}) == 8
+    assert variants[0].variant_tag == "table-literal"
+    assert variants[2].variant_tag == "prose-literal"
+    assert len({v.variant_tag for v in variants}) == 8
 
 
 def test_table_literal_matches_tabulated_values():
     v = generate_variants()[0]
-    assert v.coefficients.k == K_TABULATED
+    assert v.k == K_TABULATED
 
 
 def test_prose_literal_flips_k5_only():
-    table = generate_variants()[0].coefficients.k
-    prose = generate_variants()[2].coefficients.k
+    table = generate_variants()[0].k
+    prose = generate_variants()[2].k
     assert prose[4] == -table[4] == -5.3498e-5
     assert all(a == b for i, (a, b) in enumerate(zip(table, prose)) if i != 4)
 
 
 def test_variants_differ_only_at_flagged_positions():
     for v in generate_variants():
-        for i, (a, b) in enumerate(zip(v.coefficients.k, K_TABULATED)):
+        for i, (a, b) in enumerate(zip(v.k, K_TABULATED)):
             if i not in FLAGGED:
                 assert a == b
 
@@ -47,15 +47,15 @@ def test_selection_on_default_grid(tmp_path):
     selected = report.selected_report
     assert selected.mxae == min(r.mxae for _, r in report.variants)
     # a tie between the selected and a distinct variant must be called out
-    worst_equal = [v.label for v, r in report.variants
-                   if r.mxae == selected.mxae and v.label != report.selected]
+    worst_equal = [v.variant_tag for v, r in report.variants
+                   if r.mxae == selected.mxae and v.variant_tag != report.selected]
     if worst_equal:
         assert "error-insensitive" in report.notes
 
     # the shipped default is the selected variant
     assert report.selected == DEFAULT_PHI9.variant_tag
-    sel_variant = next(v for v, _ in report.variants if v.label == report.selected)
-    assert sel_variant.coefficients.k == DEFAULT_PHI9.k
+    sel_variant = next(v for v, _ in report.variants if v.variant_tag == report.selected)
+    assert sel_variant.k == DEFAULT_PHI9.k
 
     # no printed variant reproduces the published 4.43e-10; the report says so
     assert not report.gate_passed

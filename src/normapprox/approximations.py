@@ -99,11 +99,13 @@ DEFAULT_PHI9 = phi9_reading(("k3shift", "k5minus", "k8shift"))
 
 
 def _horner(z: float, k: tuple[float, ...]) -> float:
-    # a(z) = sum_j k_j z^(j-1); the one Horner loop of the library
-    acc = 0.0
-    for c in reversed(k):
-        acc = acc * z + c
-    return acc
+    # a(z) = sum_j k_j z^(j-1) by Horner, unrolled for speed.  It equals the
+    # loop acc = acc*z + c over reversed(k) from acc = 0.0 bit for bit: the
+    # loop's first step, 0.0*z + k17, is exactly k17 for finite z.
+    k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16, k17 = k
+    return (((((((((((((((k17 * z + k16) * z + k15) * z + k14) * z + k13) * z
+                        + k12) * z + k11) * z + k10) * z + k9) * z + k8) * z
+                  + k7) * z + k6) * z + k5) * z + k4) * z + k3) * z + k2) * z + k1
 
 
 def phi9_linear_coefficient(z: float, coeffs: Phi9Coefficients | None = None) -> float:

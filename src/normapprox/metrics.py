@@ -1,6 +1,9 @@
 """Evaluation grids, MXAE/MAE reports, signed error curves and the quantile
 comparison table.
 
+Each grid is checked once against the form's domain, before the oracle fill;
+the grid loops then evaluate the form's exponent and logistic directly, with
+the same arithmetic as ``eval_cdf_approx`` but without its per-point checks.
 Reductions run sequentially in grid order (absolute-error sums through
 ``math.fsum``), so identical inputs always reproduce bit-identical reports.
 Grid evaluation is embarrassingly parallel in principle; this implementation
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import inverse
-from .approximations import Phi9Coefficients, descriptor, eval_cdf_approx
+from .approximations import Phi9Coefficients, descriptor
 from .errors import DomainError, to_float
 from .reference import ref_cdf
 
@@ -42,7 +45,8 @@ class GridSpec:
         if self.stop <= self.start:
             raise DomainError("grid stop must exceed start")
         ratio = (stop - start) / step  # in floats: a huge ratio is inf, not OverflowError
-        if not ratio < MAX_GRID_POINTS:  # also rejects an overflowed inf
+        # count is round(ratio) + 1; the first test rejects an inf before round()
+        if not ratio < MAX_GRID_POINTS or round(ratio) + 1 > MAX_GRID_POINTS:
             raise DomainError(f"grid has more than {MAX_GRID_POINTS:,} points")
         if round(ratio) < 1:
             raise DomainError("grid step must not exceed stop - start")
@@ -111,17 +115,37 @@ def _checked_refs(approx_id: int, spec: GridSpec) -> tuple[float, ...]:
 
 def compute_error_report(approx_id: int, spec: GridSpec,
                          coeffs: Phi9Coefficients | None = None) -> ErrorReport:
-    """Grid MXAE (with argmax, first-of-ties) and MAE against the oracle."""
+    """Grid MXAE (with argmax, first-of-ties) and MAE against the oracle.
+
+    ``coeffs`` selects the phi9 coefficient reading; DomainError if it is
+    given for any other form.
+    """
+    d = descriptor(approx_id)
+    if coeffs is not None and d.index != 9:
+        raise DomainError(f"coefficients apply only to phi9, not phi{approx_id}")
     refs = _checked_refs(approx_id, spec)
+    y = d.y
+    exp = math.exp
     pts = spec.points()
     mxae = -1.0
     mxae_location = pts[0]
     errs = []
     for z, r in zip(pts, refs):
-        e = abs(eval_cdf_approx(approx_id, z, coeffs) - r)
-        errs.append(e)
-        if e > mxae:
-            mxae = e
+        # the logistic of eval_cdf_approx; _checked_refs has checked every z
+        try:
+            t = y(z, coeffs)
+        except OverflowError:
+            a = 1.0
+        else:
+            if t >= 0.0:
+                a = 1.0 / (1.0 + exp(-t))
+            else:
+                e = exp(t)
+                a = e / (1.0 + e)
+        err = abs(a - r)
+        errs.append(err)
+        if err > mxae:
+            mxae = err
             mxae_location = z
     return ErrorReport(grid=spec, mxae=mxae, mxae_location=mxae_location,
                        mae=math.fsum(errs) / len(errs))
@@ -130,8 +154,23 @@ def compute_error_report(approx_id: int, spec: GridSpec,
 def error_curve(approx_id: int, spec: GridSpec) -> list[tuple[float, float]]:
     """Signed differences (approximation - reference) in grid order."""
     refs = _checked_refs(approx_id, spec)
-    return [(z, eval_cdf_approx(approx_id, z) - r)
-            for z, r in zip(spec.points(), refs)]
+    y = descriptor(approx_id).y
+    exp = math.exp
+    curve = []
+    for z, r in zip(spec.points(), refs):
+        # the logistic of eval_cdf_approx; _checked_refs has checked every z
+        try:
+            t = y(z, None)
+        except OverflowError:
+            a = 1.0
+        else:
+            if t >= 0.0:
+                a = 1.0 / (1.0 + exp(-t))
+            else:
+                e = exp(t)
+                a = e / (1.0 + e)
+        curve.append((z, a - r))
+    return curve
 
 
 def inverse_table(z_values=None) -> list[InverseRow]:

@@ -12,6 +12,7 @@ from normapprox import (DEFAULT_PHI9, DomainError, GRID_A, GRID_B, GridSpec,
                         eval_cdf_extended, inverse_table, list_approximations,
                         phi9_linear_coefficient, polya_cdf, ref_cdf,
                         ref_quantile, z1_schmeiser)
+from normapprox.approximations import _horner
 from goldens import TABLE2
 
 ALL_IDS = range(1, 10)
@@ -120,6 +121,18 @@ def test_phi9_exponent_is_z_times_linear_coefficient():
     for coeffs in (None, Phi9Coefficients(k=tuple(reversed(DEFAULT_PHI9.k)), variant_tag="r")):
         assert all(y(z, coeffs) == phi9_linear_coefficient(z, coeffs) * z
                    for z in GRID_A.points())
+
+
+_MODERATE = st.floats(min_value=-1e6, max_value=1e6)
+
+
+@given(_MODERATE, st.tuples(*[_MODERATE] * 17))
+@settings(max_examples=300, deadline=None)
+def test_unrolled_horner_equals_the_loop(z, k):
+    acc = 0.0
+    for c in reversed(k):
+        acc = acc * z + c
+    assert _horner(z, k) == acc
 
 
 @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])

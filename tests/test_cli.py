@@ -145,21 +145,27 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
     (["table2", "--format", "csv"], "table2.csv"),
     (["table34", "--format", "csv"], "table34.csv"),
     (["reconcile"], "reconcile.txt"),
-], ids=["table2", "table34", "reconcile"])
+    (["curves", "--approx", "9", "--format", "csv"], "figure1_phi9.csv"),
+    # phi4's exponent has z**3
+    (["curves", "--approx", "4", "--format", "csv"], "figure1_phi4.csv"),
+], ids=["table2", "table34", "reconcile", "curves-phi9", "curves-phi4"])
 def test_artefacts_match_golden_bytes(tmp_path, capsys, argv, golden):
     """Each published artefact, byte for byte, including the ``*_full`` columns.
 
     The files under tests/golden come from Python 3.11.7 with glibc libm and
     are regenerated with ``normapprox table2 --format csv --output
     tests/golden/table2.csv``, ``normapprox table34 --format csv --output
-    tests/golden/table34.csv`` and ``normapprox reconcile --output
-    tests/golden/reconcile.txt``.  A change to any of them is a change to a
+    tests/golden/table34.csv``, ``normapprox reconcile --output
+    tests/golden/reconcile.txt`` and ``normapprox curves --approx N --format
+    csv --output tests/golden`` for N = 9 and 4 (which also writes
+    figure2_delta3.csv, not kept).  A change to any of them is a change to a
     published number and belongs in CHANGES.md.
     """
-    path = tmp_path / golden
-    code, _, _ = run(capsys, *argv, "--output", str(path))
+    # curves writes into a directory; the other commands write one file
+    out = tmp_path if argv[0] == "curves" else tmp_path / golden
+    code, _, _ = run(capsys, *argv, "--output", str(out))
     assert code == 0
-    assert path.read_bytes() == (GOLDEN / golden).read_bytes()
+    assert (tmp_path / golden).read_bytes() == (GOLDEN / golden).read_bytes()
 
 
 def test_curves_writes_both_figures(tmp_path, capsys):

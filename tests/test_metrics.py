@@ -4,8 +4,9 @@ import math
 
 import pytest
 
-from normapprox import (DomainError, GRID_A, GRID_B, GridSpec, Phi9Coefficients,
-                        compute_error_report, error_curve, inverse_table,
+from normapprox import (DEFAULT_PHI9, DomainError, GRID_A, GRID_B, GridSpec,
+                        Phi9Coefficients, compute_error_report, error_curve,
+                        eval_cdf_approx, inverse_table, list_approximations,
                         ref_cdf)
 from normapprox.metrics import DEFAULT_INVERSE_GRID, MAX_GRID_POINTS
 
@@ -36,7 +37,9 @@ def test_nonpositive_step_rejected():
 
 
 @pytest.mark.parametrize("spec", [(0.0, 5.0, 1e-9), (0.0, 5.0, 1e-320),
-                                  (-1e308, 1e308, 0.001), (-10**308, 10**308, 1)])
+                                  (-1e308, 1e308, 0.001), (-10**308, 10**308, 1),
+                                  # 1,000,001 points: the cap counts points, not steps
+                                  (0, 999999.5, 1), (0.0, 4.0, 4.0000001e-6)])
 def test_grid_point_count_is_capped(spec):
     # rejected by validation, before any point is built
     with pytest.raises(DomainError, match="1,000,000 points"):
@@ -107,6 +110,33 @@ def test_argmax_tie_breaks_to_smallest_abscissa():
     rep = compute_error_report(9, GridSpec(8.0, 10.0, 0.5), floor)
     assert rep.mxae == 1.0
     assert rep.mxae_location == 8.5
+
+
+def test_coefficients_rejected_for_other_forms():
+    with pytest.raises(DomainError, match="only to phi9"):
+        compute_error_report(1, GRID_A, DEFAULT_PHI9)
+
+
+# the last grid overflows z**3 in phi4, phi6 and phi7, whose CDF is then 1.0
+@pytest.mark.parametrize("approx_id, spec", [
+    (d.index, spec)
+    for spec in (GRID_B, GridSpec(0.0, 6.0, 0.5), GridSpec(0.0, 2e103, 1e103))
+    for d in list_approximations()
+    if spec.start + (spec.count - 1) * spec.step < d.domain_max])
+def test_error_curve_equals_pointwise_evaluation(approx_id, spec):
+    assert error_curve(approx_id, spec) == [(z, eval_cdf_approx(approx_id, z) - ref_cdf(z))
+                                            for z in spec.points()]
+
+
+def test_error_report_equals_pointwise_evaluation_below_zero_exponent():
+    # a(z) = -1e300 keeps the exponent negative, the logistic's e/(1+e) branch
+    floor = Phi9Coefficients(k=(-1e300,) + (0.0,) * 16, variant_tag="floor")
+    spec = GridSpec(8.0, 10.0, 0.5)
+    errs = [abs(eval_cdf_approx(9, z, floor) - ref_cdf(z)) for z in spec.points()]
+    rep = compute_error_report(9, spec, floor)
+    assert rep.mxae == max(errs)
+    assert rep.mxae_location == spec.points()[errs.index(max(errs))]
+    assert rep.mae == math.fsum(errs) / len(errs)
 
 
 def test_inverse_table_default_13_rows():

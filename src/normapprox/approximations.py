@@ -182,13 +182,12 @@ def descriptor(approx_id: int) -> ApproxDescriptor:
     return d
 
 
-def eval_cdf_approx(approx_id: int, z: float,
-                    coeffs: Phi9Coefficients | None = None) -> float:
-    """Approximation ``approx_id`` at 0 <= z < domain_max.
+def eval_cdf_approx(approx_id: int, z: float) -> float:
+    """Approximation ``approx_id`` at 0 <= z < domain_max; phi9 reads
+    DEFAULT_PHI9 (``compute_error_report`` scores other readings).
 
-    ``coeffs`` selects the exponent-polynomial variant for id 9 and is ignored
-    otherwise.  Raises DomainError for z < 0 (use eval_cdf_extended), for z
-    outside the form's domain, and for unknown ids.
+    Raises DomainError for z < 0 (use eval_cdf_extended), for z outside the
+    form's domain, and for unknown ids.
     """
     try:
         z = float(z)
@@ -198,7 +197,7 @@ def eval_cdf_approx(approx_id: int, z: float,
     if not 0.0 <= z < d.domain_max:
         raise _domain_error(d, z)
     try:
-        y = d.y(z, coeffs)
+        y = d.y(z, None)
     except OverflowError:
         # every exponent increases on its domain, so one too large for a
         # double saturates the logistic at 1

@@ -1,9 +1,11 @@
 """Evaluation grids, MXAE/MAE reports, signed error curves and the quantile
 comparison table.
 
-Each grid is checked once against the form's domain, before the oracle fill;
-the grid loops then evaluate the form's exponent and logistic directly, with
-the same arithmetic as ``eval_cdf_approx`` but without its per-point checks.
+Each grid is checked once against the form's domain, before the oracle fill.
+``compute_error_report``, the hot path, is then the one loop that skips the
+per-point checks: it evaluates the form's exponent and logistic directly,
+with the same arithmetic as ``eval_cdf_approx``.  ``error_curve`` goes
+through ``eval_cdf_approx`` point by point.
 Reductions run sequentially in grid order (absolute-error sums through
 ``math.fsum``), so identical inputs always reproduce bit-identical reports.
 Grid evaluation is embarrassingly parallel in principle; this implementation
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import inverse
-from .approximations import Phi9Coefficients, descriptor
+from .approximations import Phi9Coefficients, descriptor, eval_cdf_approx
 from .errors import DomainError, to_float
 from .reference import ref_cdf
 
@@ -94,7 +96,11 @@ class InverseRow:
     delta3: float
 
 
-@lru_cache(maxsize=32)
+# A 1,000,000-point fill holds about 32 MB, so two entries bound a process to
+# about 64 MB.  Each CLI command caches at most one grid, and every artefact
+# command run in one process caches exactly two (GRID_B for table2 and
+# reconcile, GRID_A for curves; inverse_table does not cache), so none refills.
+@lru_cache(maxsize=2)
 def _ref_values(spec: GridSpec) -> tuple[float, ...]:
     return tuple(ref_cdf(z) for z in spec.points())
 
@@ -154,23 +160,7 @@ def compute_error_report(approx_id: int, spec: GridSpec,
 def error_curve(approx_id: int, spec: GridSpec) -> list[tuple[float, float]]:
     """Signed differences (approximation - reference) in grid order."""
     refs = _checked_refs(approx_id, spec)
-    y = descriptor(approx_id).y
-    exp = math.exp
-    curve = []
-    for z, r in zip(spec.points(), refs):
-        # the logistic of eval_cdf_approx; _checked_refs has checked every z
-        try:
-            t = y(z, None)
-        except OverflowError:
-            a = 1.0
-        else:
-            if t >= 0.0:
-                a = 1.0 / (1.0 + exp(-t))
-            else:
-                e = exp(t)
-                a = e / (1.0 + e)
-        curve.append((z, a - r))
-    return curve
+    return [(z, eval_cdf_approx(approx_id, z) - r) for z, r in zip(spec.points(), refs)]
 
 
 def inverse_table(z_values=None) -> list[InverseRow]:

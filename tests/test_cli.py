@@ -10,15 +10,16 @@ import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 import textwrap
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import normapprox
-from normapprox import (GRID_A, GRID_B, compute_error_report, inverse_table,
-                        quantile_approx)
+from normapprox import (GRID_A, GRID_B, DomainError, GridSpec, compute_error_report,
+                        inverse_table, quantile_approx)
 from normapprox.cli import main
 
 
@@ -294,6 +295,39 @@ def test_eval_and_invert_exit_cleanly_on_any_float(approx, inverse, x):
         codes = {main(["eval", "--approx", str(approx), "--", repr(x)]),
                  main(["invert", "--inverse", str(inverse), "--", repr(x)])}
     assert codes <= {0, 2, 3}
+
+
+@st.composite
+def _grid_bounds(draw):
+    start, stop, step = (draw(_EXTREME_FLOATS) for _ in range(3))
+    if draw(st.booleans()):
+        # three random floats almost never make a valid grid, so half the
+        # examples build one from a start, a step and a point count
+        start, step = abs(start), abs(step)
+        stop = start + draw(st.integers(1, 2000)) * step
+    return start, stop, step
+
+
+@given(st.sampled_from(["table2", "table34", "curves", "reconcile"]), _grid_bounds(),
+       st.sampled_from(["csv", "json", "markdown"]))
+@settings(max_examples=100, deadline=None)
+def test_grid_commands_exit_cleanly_on_any_grid(command, bounds, fmt):
+    start, stop, step = bounds
+    try:
+        count = GridSpec(start, stop, step).count
+    except DomainError:
+        count = 0  # the command exits 2 before it builds a point
+    assume(count <= 2000)
+    argv = [command, f"--grid-start={start!r}", f"--grid-stop={stop!r}",
+            f"--grid-step={step!r}"]
+    if command != "reconcile":  # reconcile writes only its text report
+        argv.append(f"--format={fmt}")
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv + ["--output", os.path.join(tmp, "out")])
+    assert code in {0, 2, 3}
+    assert code == 0 or out.getvalue() == ""
 
 
 def test_unknown_format_exit_2(capsys):

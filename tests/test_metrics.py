@@ -8,7 +8,8 @@ from normapprox import (DEFAULT_PHI9, DomainError, GRID_A, GRID_B, GridSpec,
                         Phi9Coefficients, compute_error_report, error_curve,
                         eval_cdf_approx, inverse_table, list_approximations,
                         ref_cdf)
-from normapprox.metrics import DEFAULT_INVERSE_GRID, MAX_GRID_POINTS
+from normapprox.approximations import descriptor
+from normapprox.metrics import DEFAULT_INVERSE_GRID, MAX_GRID_POINTS, _ref_values
 
 
 def test_grid_a_has_401_points():
@@ -124,19 +125,38 @@ def test_coefficients_rejected_for_other_forms():
     for d in list_approximations()
     if spec.start + (spec.count - 1) * spec.step < d.domain_max])
 def test_error_curve_equals_pointwise_evaluation(approx_id, spec):
-    assert error_curve(approx_id, spec) == [(z, eval_cdf_approx(approx_id, z) - ref_cdf(z))
-                                            for z in spec.points()]
+    pts = spec.points()
+    diffs = [eval_cdf_approx(approx_id, z) - ref_cdf(z) for z in pts]
+    assert error_curve(approx_id, spec) == list(zip(pts, diffs))
+    # compute_error_report skips eval_cdf_approx's checks but not its arithmetic
+    _assert_first_of_ties_reduction(compute_error_report(approx_id, spec), pts,
+                                    [abs(d) for d in diffs])
+
+
+def _assert_first_of_ties_reduction(rep, pts, errs):
+    assert rep.mxae == max(errs)
+    assert rep.mxae_location == pts[errs.index(max(errs))]
+    assert rep.mae == math.fsum(errs) / len(errs)
 
 
 def test_error_report_equals_pointwise_evaluation_below_zero_exponent():
     # a(z) = -1e300 keeps the exponent negative, the logistic's e/(1+e) branch
     floor = Phi9Coefficients(k=(-1e300,) + (0.0,) * 16, variant_tag="floor")
     spec = GridSpec(8.0, 10.0, 0.5)
-    errs = [abs(eval_cdf_approx(9, z, floor) - ref_cdf(z)) for z in spec.points()]
-    rep = compute_error_report(9, spec, floor)
-    assert rep.mxae == max(errs)
-    assert rep.mxae_location == spec.points()[errs.index(max(errs))]
-    assert rep.mae == math.fsum(errs) / len(errs)
+
+    def cdf(z):
+        e = math.exp(descriptor(9).y(z, floor))
+        return e / (1.0 + e)
+
+    pts = spec.points()
+    errs = [abs(cdf(z) - ref_cdf(z)) for z in pts]
+    _assert_first_of_ties_reduction(compute_error_report(9, spec, floor), pts, errs)
+
+
+def test_oracle_cache_holds_two_grids():
+    for stop in (1.0, 2.0, 3.0):
+        compute_error_report(1, GridSpec(0.0, stop, 0.5))
+    assert _ref_values.cache_info().currsize == 2
 
 
 def test_inverse_table_default_13_rows():

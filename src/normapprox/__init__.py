@@ -9,7 +9,7 @@ from .inverse import (d1_poly, polya_cdf, quantile_approx, z1_schmeiser,
                       z2_shore, z3_proposed)
 from .metrics import (DEFAULT_INVERSE_GRID, GRID_A, GRID_B, ErrorReport,
                       GridSpec, InverseRow, compute_error_report,
-                      error_curve, inverse_table)
+                      error_curve, inverse_table, phi9_error_reports)
 from .reconcile import ReconciliationReport, generate_variants, reconcile_phi9
 from .reference import (oracle_cross_check, quadrature_cdf, ref_cdf,
                         ref_quantile)
@@ -37,6 +37,7 @@ __all__ = [
     "inverse_table",
     "list_approximations",
     "oracle_cross_check",
+    "phi9_error_reports",
     "phi9_linear_coefficient",
     "polya_cdf",
     "quadrature_cdf",

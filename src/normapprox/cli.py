@@ -67,7 +67,10 @@ def _render_json(command, meta, headers, rows) -> str:
                  "phi9_variant": DEFAULT_PHI9.variant_tag, **meta},
         "rows": [dict(zip(headers, row)) for row in rows],
     }
-    return json.dumps(obj, indent=2) + "\n"
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:  # NaN or an infinity, which JSON cannot hold
+        raise DomainError(f"cannot render {command} as JSON: {exc}") from None
 
 
 def _grid_meta(spec: GridSpec) -> dict:

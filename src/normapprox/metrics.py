@@ -1,11 +1,15 @@
 """Evaluation grids, MXAE/MAE reports, signed error curves and the quantile
 comparison table.
 
-Each grid is checked once against the form's domain, before the oracle fill.
-``compute_error_report``, the hot path, is then the one loop that skips the
-per-point checks: it evaluates the form's exponent and logistic directly,
-with the same arithmetic as ``eval_cdf_approx``.  ``error_curve`` goes
-through ``eval_cdf_approx`` point by point.
+Each grid is checked once against the form's domain, before the oracle fill,
+and its abscissae and oracle values are built once and cached.
+``compute_error_report`` and ``phi9_error_reports``, the hot paths, are then
+the loops that skip the per-point checks: they evaluate the exponent and
+logistic directly, with the same arithmetic as ``eval_cdf_approx``.
+``compute_error_report`` scores one form as the registry defines it;
+``phi9_error_reports`` scores any number of phi9 coefficient readings in one
+pass, and is the only route for a reading other than the default.
+``error_curve`` goes through ``eval_cdf_approx`` point by point.
 Reductions run sequentially in grid order (absolute-error sums through
 ``math.fsum``), so identical inputs always reproduce bit-identical reports.
 Grid evaluation is embarrassingly parallel in principle; this implementation
@@ -13,11 +17,12 @@ keeps it single-threaded for exact reproducibility.
 """
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
 from . import inverse
-from .approximations import Phi9Coefficients, descriptor, eval_cdf_approx
+from .approximations import descriptor, eval_cdf_approx
 from .errors import DomainError, to_float
 from .reference import ref_cdf
 
@@ -96,18 +101,21 @@ class InverseRow:
     delta3: float
 
 
-# A 1,000,000-point fill holds about 32 MB, so two entries bound a process to
-# about 64 MB.  Each CLI command caches at most one grid, and every artefact
-# command run in one process caches exactly two (GRID_B for table2 and
-# reconcile, GRID_A for curves; inverse_table does not cache), so none refills.
+# (abscissae, oracle values) of a grid.  A 1,000,000-point entry holds 16 MB,
+# so two entries bound a process to about 32 MB.  Each CLI command caches at
+# most one grid, and every artefact command run in one process caches exactly
+# two (GRID_B for table2 and reconcile, GRID_A for curves; inverse_table does
+# not cache), so none refills.
 @lru_cache(maxsize=2)
-def _ref_values(spec: GridSpec) -> tuple[float, ...]:
-    return tuple(ref_cdf(z) for z in spec.points())
+def _ref_values(spec: GridSpec) -> tuple[array, array]:
+    pts = array("d", spec.points())
+    return pts, array("d", map(ref_cdf, pts))
 
 
-def _checked_refs(approx_id: int, spec: GridSpec) -> tuple[float, ...]:
-    """Oracle values on ``spec``, once the grid is known to lie inside the
-    domain of approximation ``approx_id`` (checked before the oracle fill)."""
+def _checked_refs(approx_id: int, spec: GridSpec) -> tuple[array, array]:
+    """(abscissae, oracle values) of ``spec``, once the grid is known to lie
+    inside the domain of approximation ``approx_id`` (checked before the
+    oracle fill)."""
     if spec.start < 0.0:
         raise DomainError("approximation grids require z >= 0")
     d = descriptor(approx_id)
@@ -119,27 +127,19 @@ def _checked_refs(approx_id: int, spec: GridSpec) -> tuple[float, ...]:
     return _ref_values(spec)
 
 
-def compute_error_report(approx_id: int, spec: GridSpec,
-                         coeffs: Phi9Coefficients | None = None) -> ErrorReport:
-    """Grid MXAE (with argmax, first-of-ties) and MAE against the oracle.
-
-    ``coeffs`` selects the phi9 coefficient reading; DomainError if it is
-    given for any other form.
-    """
-    d = descriptor(approx_id)
-    if coeffs is not None and d.index != 9:
-        raise DomainError(f"coefficients apply only to phi9, not phi{approx_id}")
-    refs = _checked_refs(approx_id, spec)
-    y = d.y
+def compute_error_report(approx_id: int, spec: GridSpec) -> ErrorReport:
+    """Grid MXAE (with argmax, first-of-ties) and MAE against the oracle;
+    phi9 reads DEFAULT_PHI9 (``phi9_error_reports`` scores other readings)."""
+    y = descriptor(approx_id).y
+    pts, refs = _checked_refs(approx_id, spec)
     exp = math.exp
-    pts = spec.points()
     mxae = -1.0
     mxae_location = pts[0]
     errs = []
     for z, r in zip(pts, refs):
         # the logistic of eval_cdf_approx; _checked_refs has checked every z
         try:
-            t = y(z, coeffs)
+            t = y(z, None)
         except OverflowError:
             a = 1.0
         else:
@@ -157,10 +157,55 @@ def compute_error_report(approx_id: int, spec: GridSpec,
                        mae=math.fsum(errs) / len(errs))
 
 
+def phi9_error_reports(spec: GridSpec, readings) -> tuple[ErrorReport, ...]:
+    """One ``compute_error_report``-equal report per phi9 coefficient
+    reading, in order, from one pass over ``spec``.
+
+    Per point, Horner's first nine steps (k17 down to k9) run once for each
+    distinct ``k[8:]``; each reading then runs its last eight steps, the
+    ``* z`` and the logistic.  Every operation is the one ``_horner`` and
+    ``eval_cdf_approx`` make, in their order, so each report is bit-identical
+    to scoring that reading alone.  Finite coefficients on a finite grid keep
+    every exponent out of NaN, so ``max`` and ``index`` give the
+    first-of-ties argmax.
+    """
+    readings = tuple(readings)
+    pts, refs = _checked_refs(9, spec)
+    # 8 bytes a point per reading, where a float list would take 32
+    errs = tuple(array("d") for _ in readings)
+    # k[8:] -> [(append, k1..k8)] of every reading that shares it
+    by_high = {}
+    for r, err in zip(readings, errs):
+        by_high.setdefault(r.k[8:], []).append((err.append, *r.k[:8]))
+    groups = [(*high, lows) for high, lows in by_high.items()]
+    exp = math.exp
+    for z, ref in zip(pts, refs):
+        for k9, k10, k11, k12, k13, k14, k15, k16, k17, lows in groups:
+            h = ((((((((k17 * z + k16) * z + k15) * z + k14) * z + k13) * z
+                    + k12) * z + k11) * z + k10) * z + k9)
+            for append, k1, k2, k3, k4, k5, k6, k7, k8 in lows:
+                t = ((((((((h * z + k8) * z + k7) * z + k6) * z + k5) * z
+                        + k4) * z + k3) * z + k2) * z + k1) * z
+                # the logistic of eval_cdf_approx
+                if t >= 0.0:
+                    a = 1.0 / (1.0 + exp(-t))
+                else:
+                    e = exp(t)
+                    a = e / (1.0 + e)
+                append(abs(a - ref))
+    reports = []
+    for err in errs:
+        mxae = max(err)
+        reports.append(ErrorReport(grid=spec, mxae=mxae,
+                                   mxae_location=pts[err.index(mxae)],
+                                   mae=math.fsum(err) / len(err)))
+    return tuple(reports)
+
+
 def error_curve(approx_id: int, spec: GridSpec) -> list[tuple[float, float]]:
     """Signed differences (approximation - reference) in grid order."""
-    refs = _checked_refs(approx_id, spec)
-    return [(z, eval_cdf_approx(approx_id, z) - r) for z, r in zip(spec.points(), refs)]
+    pts, refs = _checked_refs(approx_id, spec)
+    return [(z, eval_cdf_approx(approx_id, z) - r) for z, r in zip(pts, refs)]
 
 
 def inverse_table(z_values=None) -> list[InverseRow]:

@@ -6,9 +6,9 @@ magnitude above the cubic coefficient of every sibling formula (suggesting a
 dropped leading zero), k5 changes sign between the running-text polynomial
 and the tabulated values, and k8 is printed two orders above its neighbours
 (suggesting an exponent slip).  ``generate_variants`` enumerates the 2^3
-combinations; ``reconcile_phi9`` scores each against the oracle on a grid and
-selects the minimal-MXAE variant, treating the published accuracy figures as
-the specification of record.
+combinations; ``reconcile_phi9`` scores all eight against the oracle in one
+``phi9_error_reports`` pass over a grid and selects the minimal-MXAE variant,
+treating the published accuracy figures as the specification of record.
 """
 
 from dataclasses import dataclass
@@ -16,7 +16,7 @@ from itertools import product
 
 from .approximations import (DEFAULT_PHI9, PHI9_READINGS, Phi9Coefficients,
                              descriptor, phi9_reading)
-from .metrics import GRID_B, ErrorReport, GridSpec, compute_error_report
+from .metrics import GRID_B, ErrorReport, GridSpec, phi9_error_reports
 
 # Published accuracy of the ninth approximation and the gate a variant must
 # meet to count as reproducing it.
@@ -55,8 +55,8 @@ def generate_variants() -> tuple[Phi9Coefficients, ...]:
 
 def reconcile_phi9(spec: GridSpec = GRID_B) -> ReconciliationReport:
     """Score all variants on ``spec`` and select the minimal MXAE."""
-    scored = tuple((v, compute_error_report(9, spec, v))
-                   for v in generate_variants())
+    variants = generate_variants()
+    scored = tuple(zip(variants, phi9_error_reports(spec, variants)))
     best_variant, best_report = min(scored, key=lambda vr: vr[1].mxae)
     ties = [v.variant_tag for v, r in scored
             if r.mxae == best_report.mxae and v is not best_variant]

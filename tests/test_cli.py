@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -53,6 +54,19 @@ def test_table2_json_meta(capsys):
     assert obj["meta"]["phi9_variant"] == "k3shift-k5minus-k8shift"
     assert len(obj["rows"]) == 9
     assert obj["rows"][0]["approx"] == "phi1"
+
+
+def test_json_rejects_nan_instead_of_printing_it(capsys, monkeypatch):
+    # NaN is not JSON; json.dumps would print it as a bare NaN token
+    def report_with_nan(approx_id, spec):
+        rep = compute_error_report(approx_id, spec)
+        return dataclasses.replace(rep, mae=math.nan) if approx_id == 3 else rep
+
+    monkeypatch.setattr(normapprox.cli, "compute_error_report", report_with_nan)
+    code, out, err = run(capsys, "table2", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "JSON" in err
 
 
 def test_table2_csv_round_trips(tmp_path, capsys):
@@ -146,10 +160,12 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
     (["table2", "--format", "csv"], "table2.csv"),
     (["table34", "--format", "csv"], "table34.csv"),
     (["reconcile"], "reconcile.txt"),
+    (["reconcile", "--grid-stop", "4", "--grid-step", "0.01"], "reconcile_grid_a.txt"),
     (["curves", "--approx", "9", "--format", "csv"], "figure1_phi9.csv"),
     # phi4's exponent has z**3
     (["curves", "--approx", "4", "--format", "csv"], "figure1_phi4.csv"),
-], ids=["table2", "table34", "reconcile", "curves-phi9", "curves-phi4"])
+], ids=["table2", "table34", "reconcile", "reconcile-grid-a", "curves-phi9",
+        "curves-phi4"])
 def test_artefacts_match_golden_bytes(tmp_path, capsys, argv, golden):
     """Each published artefact, byte for byte, including the ``*_full`` columns.
 
@@ -157,9 +173,10 @@ def test_artefacts_match_golden_bytes(tmp_path, capsys, argv, golden):
     are regenerated with ``normapprox table2 --format csv --output
     tests/golden/table2.csv``, ``normapprox table34 --format csv --output
     tests/golden/table34.csv``, ``normapprox reconcile --output
-    tests/golden/reconcile.txt`` and ``normapprox curves --approx N --format
-    csv --output tests/golden`` for N = 9 and 4 (which also writes
-    figure2_delta3.csv, not kept).  A change to any of them is a change to a
+    tests/golden/reconcile.txt``, ``normapprox reconcile --grid-stop 4
+    --grid-step 0.01 --output tests/golden/reconcile_grid_a.txt`` and
+    ``normapprox curves --approx N --format csv --output tests/golden`` for
+    N = 9 and 4 (which also writes figure2_delta3.csv, not kept).  A change to any of them is a change to a
     published number and belongs in CHANGES.md.
     """
     # curves writes into a directory; the other commands write one file

@@ -6,8 +6,10 @@ import pytest
 
 from normapprox import (DEFAULT_PHI9, DomainError, GRID_A, GRID_B, GridSpec,
                         Phi9Coefficients, compute_error_report, error_curve,
-                        eval_cdf_approx, inverse_table, list_approximations,
-                        ref_cdf)
+                        eval_cdf_approx, generate_variants, inverse_table,
+                        list_approximations, phi9_error_reports,
+                        phi9_linear_coefficient, ref_cdf)
+from normapprox import cli, metrics
 from normapprox.approximations import descriptor
 from normapprox.metrics import DEFAULT_INVERSE_GRID, MAX_GRID_POINTS, _ref_values
 
@@ -108,13 +110,14 @@ def test_argmax_tie_breaks_to_smallest_abscissa():
     # a(z) = -1e300 puts the CDF at 0 on the whole grid, and the oracle is
     # exactly 1.0 from 8.5 on, so 8.5, 9, 9.5 and 10 tie at an error of 1.0
     floor = Phi9Coefficients(k=(-1e300,) + (0.0,) * 16, variant_tag="floor")
-    rep = compute_error_report(9, GridSpec(8.0, 10.0, 0.5), floor)
+    rep = phi9_error_reports(GridSpec(8.0, 10.0, 0.5), [floor])[0]
     assert rep.mxae == 1.0
     assert rep.mxae_location == 8.5
 
 
 def test_coefficients_rejected_for_other_forms():
-    with pytest.raises(DomainError, match="only to phi9"):
+    # a non-default phi9 reading goes through phi9_error_reports only
+    with pytest.raises(TypeError):
         compute_error_report(1, GRID_A, DEFAULT_PHI9)
 
 
@@ -150,7 +153,58 @@ def test_error_report_equals_pointwise_evaluation_below_zero_exponent():
 
     pts = spec.points()
     errs = [abs(cdf(z) - ref_cdf(z)) for z in pts]
-    _assert_first_of_ties_reduction(compute_error_report(9, spec, floor), pts, errs)
+    _assert_first_of_ties_reduction(phi9_error_reports(spec, [floor])[0], pts, errs)
+
+
+def _k14_negated():
+    k = list(DEFAULT_PHI9.k)
+    k[13] = -k[13]
+    return Phi9Coefficients(k=tuple(k), variant_tag="k14minus")
+
+
+# readings with different high parts k[8:] (k14-negated, floor) alongside the
+# eight variants, which share theirs with DEFAULT_PHI9
+_MIXED_READINGS = (*generate_variants(), DEFAULT_PHI9, _k14_negated(),
+                   Phi9Coefficients(k=(-1e300,) + (0.0,) * 16, variant_tag="floor"))
+
+
+@pytest.mark.parametrize("spec", [GRID_A, GridSpec(8.0, 10.0, 0.5),
+                                  GridSpec(0.0, 2e103, 1e103)],
+                         ids=["grid-a", "8-10", "huge"])
+def test_phi9_error_reports_equal_pointwise_evaluation(spec):
+    def cdf(z, r):
+        t = phi9_linear_coefficient(z, r) * z
+        if t >= 0.0:
+            return 1.0 / (1.0 + math.exp(-t))
+        e = math.exp(t)
+        return e / (1.0 + e)
+
+    pts = spec.points()
+    reports = phi9_error_reports(spec, _MIXED_READINGS)
+    assert len(reports) == len(_MIXED_READINGS)
+    for r, rep in zip(_MIXED_READINGS, reports):
+        assert rep.grid == spec
+        _assert_first_of_ties_reduction(rep, pts, [abs(cdf(z, r) - ref_cdf(z)) for z in pts])
+
+
+def test_phi9_error_reports_default_reading_equals_compute_error_report():
+    assert phi9_error_reports(GRID_A, [DEFAULT_PHI9]) == (compute_error_report(9, GRID_A),)
+    assert phi9_error_reports(GRID_A, []) == ()
+
+
+def test_grid_b_is_built_and_filled_once_for_table2_and_reconcile(tmp_path, monkeypatch):
+    builds, evals = [], []
+    points = GridSpec.points
+    oracle = metrics.ref_cdf
+    monkeypatch.setattr(GridSpec, "points",
+                        lambda spec: builds.append(spec) or points(spec))
+    monkeypatch.setattr(metrics, "ref_cdf", lambda z: evals.append(z) or oracle(z))
+    _ref_values.cache_clear()
+    assert cli.main(["table2", "--format", "csv",
+                     "--output", str(tmp_path / "t2.csv")]) == 0
+    assert cli.main(["reconcile", "--output", str(tmp_path / "rec.txt")]) == 0
+    assert builds == [GRID_B]
+    assert len(evals) == GRID_B.count == 5001
 
 
 def test_oracle_cache_holds_two_grids():

@@ -3,7 +3,7 @@
 import pytest
 
 from normapprox import (DEFAULT_PHI9, GRID_B, GridSpec, Phi9Coefficients,
-                        compute_error_report, generate_variants,
+                        generate_variants, phi9_error_reports,
                         reconcile_phi9)
 from normapprox.approximations import K_TABULATED
 from normapprox.reconcile import (GATE_ARGMAX_TOL, TARGET_ARGMAX, TARGET_MXAE,
@@ -84,6 +84,6 @@ def test_negated_k14_reproduces_published_accuracy():
     # sign change on top of it, at k14, meets the published MXAE and argmax.
     k = list(DEFAULT_PHI9.k)
     k[13] = -k[13]
-    rep = compute_error_report(9, GRID_B, Phi9Coefficients(k=tuple(k), variant_tag="k14minus"))
+    rep = phi9_error_reports(GRID_B, [Phi9Coefficients(k=tuple(k), variant_tag="k14minus")])[0]
     assert rep.mxae == pytest.approx(TARGET_MXAE, rel=0.01)
     assert abs(rep.mxae_location - TARGET_ARGMAX) <= GATE_ARGMAX_TOL

@@ -120,9 +120,9 @@ def phi9_linear_coefficient(z: float, coeffs: Phi9Coefficients | None = None) ->
 class ApproxDescriptor:
     """One approximation: identity, published accuracy, exponent, domain.
 
-    ``y(z, coeffs)`` is the exponent; only the proposed form reads
-    ``coeffs``.  ``domain_max`` is an exclusive upper bound on |z| (inf =
-    unbounded): y increases on [0, domain_max), so the CDF is monotone there.
+    ``y(z)`` is the exponent; phi9's reads DEFAULT_PHI9.  ``domain_max`` is
+    an exclusive upper bound on |z| (inf = unbounded): y increases on
+    [0, domain_max), so the CDF is monotone there.
     ``reported_mxae``/``reported_mae`` are the published grid-error figures.
     """
 
@@ -131,39 +131,39 @@ class ApproxDescriptor:
     domain_max: float
     reported_mxae: float
     reported_mae: float
-    y: Callable[[float, Phi9Coefficients | None], float]
+    y: Callable[[float], float]
 
 
 _DESCRIPTORS = (
     ApproxDescriptor(1, "Tocher (1963)", math.inf, 1.77e-2, 7.05e-3,
-                     lambda z, _: 2.0 * math.sqrt(2.0 / _PI) * z),
+                     lambda z: 2.0 * math.sqrt(2.0 / _PI) * z),
     # pole at z = 9
     ApproxDescriptor(2, "Lin (1990)", 9.0, 6.69e-3, 1.10e-3,
-                     lambda z, _: 4.2 * _PI * z / (9.0 - z)),
+                     lambda z: 4.2 * _PI * z / (9.0 - z)),
     ApproxDescriptor(3, "Divgi (1990)", math.inf, 2.10e-3, 9.78e-4,
-                     lambda z, _: 1.526 * z * (1.0 + 0.1034 * z)),
+                     lambda z: 1.526 * z * (1.0 + 0.1034 * z)),
     # grouping validated against the published max error 3.14e-4:
     # y = z*sqrt(8/pi) + sqrt(2/pi)*(4-pi)*z^3/(3*pi)
     ApproxDescriptor(4, "Vedder (1993)", math.inf, 3.14e-4, 9.99e-5,
-                     lambda z, _: (math.sqrt(8.0 / _PI) * z
-                                   + math.sqrt(2.0 / _PI) * (4.0 - _PI) * z**3 / (3.0 * _PI))),
+                     lambda z: (math.sqrt(8.0 / _PI) * z
+                                + math.sqrt(2.0 / _PI) * (4.0 - _PI) * z**3 / (3.0 * _PI))),
     # y' has its root at z = 7.96202, where the -z^5 term takes over
     ApproxDescriptor(5, "Waissi-Rossin (1996)", 7.96, 4.37e-5, 1.69e-5,
-                     lambda z, _: _SQRT_PI * (0.9 * z + 0.0418198 * z**3 - 0.0004406 * z**5)),
+                     lambda z: _SQRT_PI * (0.9 * z + 0.0418198 * z**3 - 0.0004406 * z**5)),
     ApproxDescriptor(6, "Bowling et al. (2009)", math.inf, 1.42e-4, 6.88e-5,
-                     lambda z, _: 1.5976 * z + 0.07056 * z**3),
+                     lambda z: 1.5976 * z + 0.07056 * z**3),
     ApproxDescriptor(7, "Boiroju-Rao (2014)", math.inf, 2.41e-5, 7.26e-6,
-                     lambda z, _: 0.5 * (-0.506445
-                                         + 10.4467 * math.tanh(1.3448 + 0.3264 * z)
-                                         + 9.8475 * math.tanh(-1.3519 + 0.3376 * z)
-                                         + 1.5976 * z + 0.070565992 * z**3)),
+                     lambda z: 0.5 * (-0.506445
+                                      + 10.4467 * math.tanh(1.3448 + 0.3264 * z)
+                                      + 9.8475 * math.tanh(-1.3519 + 0.3376 * z)
+                                      + 1.5976 * z + 0.070565992 * z**3)),
     # y' has its root at z = 6.24178, where the -z^9 term takes over
     ApproxDescriptor(8, "Eidous-Ananbeh (2021)", 6.24, 7.62e-7, 1.82e-7,
-                     lambda z, _: (1.5957764 * z + 0.0726161 * z**3 + 0.00003318 * z**6
-                                   - 0.00021785 * z**7 + 0.00006293 * z**8
-                                   - 0.00000519 * z**9)),
+                     lambda z: (1.5957764 * z + 0.0726161 * z**3 + 0.00003318 * z**6
+                                - 0.00021785 * z**7 + 0.00006293 * z**8
+                                - 0.00000519 * z**9)),
     ApproxDescriptor(9, "proposed", math.inf, 4.43e-10, 9.62e-11,
-                     lambda z, c: _horner(z, (c or DEFAULT_PHI9).k) * z),
+                     lambda z: _horner(z, DEFAULT_PHI9.k) * z),
 )
 
 _BY_INDEX = {d.index: d for d in _DESCRIPTORS}
@@ -184,7 +184,7 @@ def descriptor(approx_id: int) -> ApproxDescriptor:
 
 def eval_cdf_approx(approx_id: int, z: float) -> float:
     """Approximation ``approx_id`` at 0 <= z < domain_max; phi9 reads
-    DEFAULT_PHI9 (``compute_error_report`` scores other readings).
+    DEFAULT_PHI9 (``phi9_error_reports`` scores other readings).
 
     Raises DomainError for z < 0 (use eval_cdf_extended), for z outside the
     form's domain, and for unknown ids.
@@ -197,7 +197,7 @@ def eval_cdf_approx(approx_id: int, z: float) -> float:
     if not 0.0 <= z < d.domain_max:
         raise _domain_error(d, z)
     try:
-        y = d.y(z, None)
+        y = d.y(z)
     except OverflowError:
         # every exponent increases on its domain, so one too large for a
         # double saturates the logistic at 1

@@ -10,7 +10,7 @@ import io
 import json
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 from itertools import cycle, islice
 from pathlib import Path
 
@@ -18,7 +18,7 @@ from . import __version__
 from .approximations import (DEFAULT_PHI9, eval_cdf_approx, eval_cdf_extended,
                              list_approximations)
 from .errors import DomainError
-from .inverse import quantile_approx
+from .inverse import quantile_approx, z3_proposed
 from .metrics import (DEFAULT_INVERSE_GRID, GRID_A, GRID_B, GridSpec,
                       compute_error_report, error_curve, inverse_table)
 from .reconcile import format_report, reconcile_phi9
@@ -30,19 +30,12 @@ _WARMUP_EVALS = 20_000
 _FIG2_GRID = GridSpec(0.0, 4.8, 0.01)
 
 
-def _cell(v) -> str:
-    # full-precision columns use the shortest round-trip decimal form
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _render_csv(headers, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(headers)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
+    # floats are written as repr, the shortest round-trip decimal form
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -56,7 +49,8 @@ def _render_markdown(sections) -> str:
         lines.append("| " + " | ".join(headers) + " |")
         lines.append("|" + "|".join(" --- " for _ in headers) + "|")
         for row in rows:
-            lines.append("| " + " | ".join(_cell(v) for v in row) + " |")
+            # str(float) is repr(float): the shortest round-trip decimal form
+            lines.append("| " + " | ".join(map(str, row)) + " |")
         parts.append("\n".join(lines))
     return "\n\n".join(parts) + "\n"
 
@@ -139,15 +133,18 @@ def cmd_table34(args) -> int:
 
 def cmd_curves(args) -> int:
     spec = _grid_from_args(args)
-    curve = error_curve(args.approx, spec)
-    fig2 = [(r.p, r.delta3) for r in inverse_table(_FIG2_GRID.points())]
+    fig1_rows = error_curve(args.approx, spec)
+    # the (p, delta3) columns of inverse_table, without computing the others
+    fig2_rows = []
+    for z in _FIG2_GRID.points():
+        p = ref_cdf(z)
+        fig2_rows.append((p, z3_proposed(p) - z))
 
     outdir = Path(args.output or ".")
     outdir.mkdir(parents=True, exist_ok=True)
     ext = {"csv": "csv", "json": "json", "markdown": "md"}[args.format]
 
     fig1_path = outdir / f"figure1_phi{args.approx}.{ext}"
-    fig1_rows = [[z, d] for z, d in curve]
     fig1_path.write_text(
         _render(args.format, "curves.figure1", _grid_meta(spec),
                 ["z", "diff"], fig1_rows,
@@ -155,7 +152,6 @@ def cmd_curves(args) -> int:
         encoding="utf-8")
 
     fig2_path = outdir / f"figure2_delta3.{ext}"
-    fig2_rows = [[p, d] for p, d in fig2]
     fig2_path.write_text(
         _render(args.format, "curves.figure2", _grid_meta(_FIG2_GRID),
                 ["p", "delta3"], fig2_rows,
@@ -243,6 +239,7 @@ def _add_io_flags(sp, default_format="markdown") -> None:
     sp.add_argument("--output", default=None, metavar="PATH")
 
 
+@cache  # parse_args leaves the parser unchanged, so every call shares one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="normapprox",

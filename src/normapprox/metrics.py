@@ -2,13 +2,14 @@
 comparison table.
 
 Each grid is checked once against the form's domain, before the oracle fill,
-and its abscissae and oracle values are built once and cached.
+and its abscissae, oracle values and phi9 reports are cached together.
 ``compute_error_report`` and ``phi9_error_reports``, the hot paths, are then
 the loops that skip the per-point checks: they evaluate the exponent and
 logistic directly, with the same arithmetic as ``eval_cdf_approx``.
-``compute_error_report`` scores one form as the registry defines it;
-``phi9_error_reports`` scores any number of phi9 coefficient readings in one
-pass, and is the only route for a reading other than the default.
+``phi9_error_reports`` is the one phi9 grid kernel: it scores any number of
+coefficient readings in one pass, and ``compute_error_report`` scores phi9
+through it with DEFAULT_PHI9.  A reading is scored at most once per cached
+grid, so ``table2`` and ``reconcile`` share the default reading's report.
 ``error_curve`` goes through ``eval_cdf_approx`` point by point.
 Reductions run sequentially in grid order (absolute-error sums through
 ``math.fsum``), so identical inputs always reproduce bit-identical reports.
@@ -22,11 +23,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import inverse
-from .approximations import descriptor, eval_cdf_approx
+from .approximations import DEFAULT_PHI9, descriptor, eval_cdf_approx
 from .errors import DomainError, to_float
 from .reference import ref_cdf
 
 MAX_GRID_POINTS = 1_000_000  # 200 x GRID_B; bounds what a CLI grid allocates
+_MAX_CACHED_REPORTS = 16  # phi9 readings kept per grid: the eight variants fit
 
 
 @dataclass(frozen=True)
@@ -101,21 +103,22 @@ class InverseRow:
     delta3: float
 
 
-# (abscissae, oracle values) of a grid.  A 1,000,000-point entry holds 16 MB,
-# so two entries bound a process to about 32 MB.  Each CLI command caches at
+# (abscissae, oracle values, phi9 reports) of a grid.  A 1,000,000-point
+# entry holds 16 MB, so two entries bound a process to about 32 MB.  The
+# reports dict maps a reading's k to its ErrorReport and holds at most
+# _MAX_CACHED_REPORTS, a few hundred bytes each.  Each CLI command caches at
 # most one grid, and every artefact command run in one process caches exactly
 # two (GRID_B for table2 and reconcile, GRID_A for curves; inverse_table does
-# not cache), so none refills.
+# not cache), so none refills and DEFAULT_PHI9 is scored once on GRID_B.
 @lru_cache(maxsize=2)
-def _ref_values(spec: GridSpec) -> tuple[array, array]:
+def _ref_values(spec: GridSpec) -> tuple[array, array, dict]:
     pts = array("d", spec.points())
-    return pts, array("d", map(ref_cdf, pts))
+    return pts, array("d", map(ref_cdf, pts)), {}
 
 
-def _checked_refs(approx_id: int, spec: GridSpec) -> tuple[array, array]:
-    """(abscissae, oracle values) of ``spec``, once the grid is known to lie
-    inside the domain of approximation ``approx_id`` (checked before the
-    oracle fill)."""
+def _checked_refs(approx_id: int, spec: GridSpec) -> tuple[array, array, dict]:
+    """``_ref_values(spec)``, once the grid is known to lie inside the domain
+    of approximation ``approx_id`` (checked before the oracle fill)."""
     if spec.start < 0.0:
         raise DomainError("approximation grids require z >= 0")
     d = descriptor(approx_id)
@@ -130,8 +133,10 @@ def _checked_refs(approx_id: int, spec: GridSpec) -> tuple[array, array]:
 def compute_error_report(approx_id: int, spec: GridSpec) -> ErrorReport:
     """Grid MXAE (with argmax, first-of-ties) and MAE against the oracle;
     phi9 reads DEFAULT_PHI9 (``phi9_error_reports`` scores other readings)."""
+    if approx_id == 9:
+        return phi9_error_reports(spec, (DEFAULT_PHI9,))[0]
     y = descriptor(approx_id).y
-    pts, refs = _checked_refs(approx_id, spec)
+    pts, refs, _ = _checked_refs(approx_id, spec)
     exp = math.exp
     mxae = -1.0
     mxae_location = pts[0]
@@ -139,7 +144,7 @@ def compute_error_report(approx_id: int, spec: GridSpec) -> ErrorReport:
     for z, r in zip(pts, refs):
         # the logistic of eval_cdf_approx; _checked_refs has checked every z
         try:
-            t = y(z, None)
+            t = y(z)
         except OverflowError:
             a = 1.0
         else:
@@ -158,8 +163,12 @@ def compute_error_report(approx_id: int, spec: GridSpec) -> ErrorReport:
 
 
 def phi9_error_reports(spec: GridSpec, readings) -> tuple[ErrorReport, ...]:
-    """One ``compute_error_report``-equal report per phi9 coefficient
-    reading, in order, from one pass over ``spec``.
+    """One report per phi9 coefficient reading, in order.
+
+    Readings are keyed by ``k``.  One already scored on ``spec`` returns its
+    cached report, the same object; the rest are scored together in one pass
+    over ``spec``, and kept while the grid holds fewer than
+    _MAX_CACHED_REPORTS, so a loop over many readings cannot grow the cache.
 
     Per point, Horner's first nine steps (k17 down to k9) run once for each
     distinct ``k[8:]``; each reading then runs its last eight steps, the
@@ -170,16 +179,16 @@ def phi9_error_reports(spec: GridSpec, readings) -> tuple[ErrorReport, ...]:
     first-of-ties argmax.
     """
     readings = tuple(readings)
-    pts, refs = _checked_refs(9, spec)
-    # 8 bytes a point per reading, where a float list would take 32
-    errs = tuple(array("d") for _ in readings)
+    pts, refs, reports = _checked_refs(9, spec)
+    # 8 bytes a point per unscored reading, where a float list would take 32
+    errs = {r.k: array("d") for r in readings if r.k not in reports}
     # k[8:] -> [(append, k1..k8)] of every reading that shares it
     by_high = {}
-    for r, err in zip(readings, errs):
-        by_high.setdefault(r.k[8:], []).append((err.append, *r.k[:8]))
+    for k, err in errs.items():
+        by_high.setdefault(k[8:], []).append((err.append, *k[:8]))
     groups = [(*high, lows) for high, lows in by_high.items()]
     exp = math.exp
-    for z, ref in zip(pts, refs):
+    for z, ref in zip(pts, refs) if groups else ():  # no pass if all cached
         for k9, k10, k11, k12, k13, k14, k15, k16, k17, lows in groups:
             h = ((((((((k17 * z + k16) * z + k15) * z + k14) * z + k13) * z
                     + k12) * z + k11) * z + k10) * z + k9)
@@ -193,18 +202,20 @@ def phi9_error_reports(spec: GridSpec, readings) -> tuple[ErrorReport, ...]:
                     e = exp(t)
                     a = e / (1.0 + e)
                 append(abs(a - ref))
-    reports = []
-    for err in errs:
+    fresh = {}
+    for k, err in errs.items():
         mxae = max(err)
-        reports.append(ErrorReport(grid=spec, mxae=mxae,
-                                   mxae_location=pts[err.index(mxae)],
-                                   mae=math.fsum(err) / len(err)))
-    return tuple(reports)
+        fresh[k] = ErrorReport(grid=spec, mxae=mxae,
+                               mxae_location=pts[err.index(mxae)],
+                               mae=math.fsum(err) / len(err))
+        if len(reports) < _MAX_CACHED_REPORTS:
+            reports[k] = fresh[k]
+    return tuple(reports.get(r.k) or fresh[r.k] for r in readings)
 
 
 def error_curve(approx_id: int, spec: GridSpec) -> list[tuple[float, float]]:
     """Signed differences (approximation - reference) in grid order."""
-    pts, refs = _checked_refs(approx_id, spec)
+    pts, refs, _ = _checked_refs(approx_id, spec)
     return [(z, eval_cdf_approx(approx_id, z) - r) for z, r in zip(pts, refs)]
 
 
@@ -212,8 +223,8 @@ def inverse_table(z_values=None) -> list[InverseRow]:
     """Quantile comparison rows at the given true abscissae (all >= 0).
 
     Defaults to z = 0 .. 4.8 step 0.4.  Probabilities are computed at full
-    precision from the oracle; restricted to (p, delta3) over a dense range
-    this doubles as the delta3-versus-p figure dataset.
+    precision from the oracle.  The delta3-versus-p figure needs only p and
+    delta3, so ``normapprox curves`` computes those two columns itself.
     """
     if z_values is None:
         z_values = DEFAULT_INVERSE_GRID.points()

@@ -6,9 +6,10 @@ magnitude above the cubic coefficient of every sibling formula (suggesting a
 dropped leading zero), k5 changes sign between the running-text polynomial
 and the tabulated values, and k8 is printed two orders above its neighbours
 (suggesting an exponent slip).  ``generate_variants`` enumerates the 2^3
-combinations; ``reconcile_phi9`` scores all eight against the oracle in one
-``phi9_error_reports`` pass over a grid and selects the minimal-MXAE variant,
-treating the published accuracy figures as the specification of record.
+combinations; ``reconcile_phi9`` scores all eight against the oracle through
+``phi9_error_reports`` (one grid pass for those not already scored on the
+grid) and selects the minimal-MXAE variant, treating the published accuracy
+figures as the specification of record.
 """
 
 from dataclasses import dataclass

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import normapprox
 from normapprox import (GRID_A, GRID_B, DomainError, GridSpec, compute_error_report,
                         inverse_table, quantile_approx)
-from normapprox.cli import main
+from normapprox.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -158,32 +158,49 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 @pytest.mark.parametrize("argv, golden", [
     (["table2", "--format", "csv"], "table2.csv"),
+    (["table2"], "table2.md"),
     (["table34", "--format", "csv"], "table34.csv"),
     (["reconcile"], "reconcile.txt"),
     (["reconcile", "--grid-stop", "4", "--grid-step", "0.01"], "reconcile_grid_a.txt"),
     (["curves", "--approx", "9", "--format", "csv"], "figure1_phi9.csv"),
     # phi4's exponent has z**3
     (["curves", "--approx", "4", "--format", "csv"], "figure1_phi4.csv"),
-], ids=["table2", "table34", "reconcile", "reconcile-grid-a", "curves-phi9",
-        "curves-phi4"])
+    (["curves", "--approx", "9", "--format", "csv"], "figure2_delta3.csv"),
+], ids=["table2", "table2-markdown", "table34", "reconcile", "reconcile-grid-a",
+        "curves-phi9", "curves-phi4", "curves-figure2"])
 def test_artefacts_match_golden_bytes(tmp_path, capsys, argv, golden):
     """Each published artefact, byte for byte, including the ``*_full`` columns.
 
     The files under tests/golden come from Python 3.11.7 with glibc libm and
     are regenerated with ``normapprox table2 --format csv --output
-    tests/golden/table2.csv``, ``normapprox table34 --format csv --output
+    tests/golden/table2.csv``, ``normapprox table2 --output
+    tests/golden/table2.md``, ``normapprox table34 --format csv --output
     tests/golden/table34.csv``, ``normapprox reconcile --output
     tests/golden/reconcile.txt``, ``normapprox reconcile --grid-stop 4
     --grid-step 0.01 --output tests/golden/reconcile_grid_a.txt`` and
     ``normapprox curves --approx N --format csv --output tests/golden`` for
-    N = 9 and 4 (which also writes figure2_delta3.csv, not kept).  A change to any of them is a change to a
-    published number and belongs in CHANGES.md.
+    N = 9 and 4 (each also writes the same figure2_delta3.csv).  A change to
+    any of them is a change to a published number and belongs in CHANGES.md.
     """
     # curves writes into a directory; the other commands write one file
     out = tmp_path if argv[0] == "curves" else tmp_path / golden
     code, _, _ = run(capsys, *argv, "--output", str(out))
     assert code == 0
     assert (tmp_path / golden).read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    # a grid override on one call must not leak into the next call's defaults
+    code, out, _ = run(capsys, "table2", "--grid-stop", "2", "--grid-step", "0.5",
+                       "--format", "csv")
+    assert code == 0 and len(out.splitlines()) == 10
+    path = tmp_path / "table2.csv"
+    assert run(capsys, "table2", "--format", "csv", "--output", str(path))[0] == 0
+    assert path.read_bytes() == (GOLDEN / "table2.csv").read_bytes()
 
 
 def test_curves_writes_both_figures(tmp_path, capsys):

@@ -8,9 +8,8 @@ from normapprox import (DEFAULT_PHI9, DomainError, GRID_A, GRID_B, GridSpec,
                         Phi9Coefficients, compute_error_report, error_curve,
                         eval_cdf_approx, generate_variants, inverse_table,
                         list_approximations, phi9_error_reports,
-                        phi9_linear_coefficient, ref_cdf)
+                        phi9_linear_coefficient, reconcile_phi9, ref_cdf)
 from normapprox import cli, metrics
-from normapprox.approximations import descriptor
 from normapprox.metrics import DEFAULT_INVERSE_GRID, MAX_GRID_POINTS, _ref_values
 
 
@@ -148,7 +147,7 @@ def test_error_report_equals_pointwise_evaluation_below_zero_exponent():
     spec = GridSpec(8.0, 10.0, 0.5)
 
     def cdf(z):
-        e = math.exp(descriptor(9).y(z, floor))
+        e = math.exp(phi9_linear_coefficient(z, floor) * z)
         return e / (1.0 + e)
 
     pts = spec.points()
@@ -162,6 +161,14 @@ def _k14_negated():
     return Phi9Coefficients(k=tuple(k), variant_tag="k14minus")
 
 
+def _phi9_cdf(z, r):
+    t = phi9_linear_coefficient(z, r) * z
+    if t >= 0.0:
+        return 1.0 / (1.0 + math.exp(-t))
+    e = math.exp(t)
+    return e / (1.0 + e)
+
+
 # readings with different high parts k[8:] (k14-negated, floor) alongside the
 # eight variants, which share theirs with DEFAULT_PHI9
 _MIXED_READINGS = (*generate_variants(), DEFAULT_PHI9, _k14_negated(),
@@ -172,19 +179,12 @@ _MIXED_READINGS = (*generate_variants(), DEFAULT_PHI9, _k14_negated(),
                                   GridSpec(0.0, 2e103, 1e103)],
                          ids=["grid-a", "8-10", "huge"])
 def test_phi9_error_reports_equal_pointwise_evaluation(spec):
-    def cdf(z, r):
-        t = phi9_linear_coefficient(z, r) * z
-        if t >= 0.0:
-            return 1.0 / (1.0 + math.exp(-t))
-        e = math.exp(t)
-        return e / (1.0 + e)
-
     pts = spec.points()
     reports = phi9_error_reports(spec, _MIXED_READINGS)
     assert len(reports) == len(_MIXED_READINGS)
     for r, rep in zip(_MIXED_READINGS, reports):
         assert rep.grid == spec
-        _assert_first_of_ties_reduction(rep, pts, [abs(cdf(z, r) - ref_cdf(z)) for z in pts])
+        _assert_first_of_ties_reduction(rep, pts, [abs(_phi9_cdf(z, r) - ref_cdf(z)) for z in pts])
 
 
 def test_phi9_error_reports_default_reading_equals_compute_error_report():
@@ -205,6 +205,29 @@ def test_grid_b_is_built_and_filled_once_for_table2_and_reconcile(tmp_path, monk
     assert cli.main(["reconcile", "--output", str(tmp_path / "rec.txt")]) == 0
     assert builds == [GRID_B]
     assert len(evals) == GRID_B.count == 5001
+
+
+def test_default_reading_is_scored_once_per_grid():
+    _ref_values.cache_clear()
+    rep = compute_error_report(9, GRID_B)
+    default = [r for v, r in reconcile_phi9(GRID_B).variants if v.k == DEFAULT_PHI9.k]
+    assert len(default) == 1 and default[0] is rep
+
+
+def test_report_cache_keeps_at_most_its_cap():
+    spec = GridSpec(0.0, 2.0, 0.25)
+    _ref_values.cache_clear()
+    cap = metrics._MAX_CACHED_REPORTS
+    # cap + 4 distinct readings, k1 = 1 + i/64
+    readings = [Phi9Coefficients(k=(1.0 + i / 64, *DEFAULT_PHI9.k[1:]), variant_tag=str(i))
+                for i in range(cap + 4)]
+    pts = spec.points()
+    for _ in range(2):  # the second call reads the kept reports, rescores the rest
+        reports = phi9_error_reports(spec, readings)
+        assert len(_ref_values(spec)[2]) == cap
+        for r, rep in zip(readings, reports):
+            _assert_first_of_ties_reduction(
+                rep, pts, [abs(_phi9_cdf(z, r) - ref_cdf(z)) for z in pts])
 
 
 def test_oracle_cache_holds_two_grids():

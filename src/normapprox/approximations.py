@@ -10,30 +10,35 @@ registry is immutable.
 """
 
 import math
-from collections.abc import Callable
-from dataclasses import dataclass
 
-from .errors import DomainError, to_float
+from .errors import DomainError, Record, to_float
 
 _PI = math.pi
 _SQRT_PI = math.sqrt(_PI)
+# The constant factors of the phi1 and phi4 exponents, each grouped as the
+# published expression evaluates left to right, so every exponent keeps its bits.
+_PHI1_SLOPE = 2.0 * math.sqrt(2.0 / _PI)
+_SQRT_8_PI = math.sqrt(8.0 / _PI)
+_PHI4_CUBIC = math.sqrt(2.0 / _PI) * (4.0 - _PI)
+_3_PI = 3.0 * _PI
 
 
-@dataclass(frozen=True)
-class Phi9Coefficients:
+class Phi9Coefficients(Record):
     """Ordered coefficients k_1..k_17 of the exponent polynomial
-    a(z) = sum_j k_j z^(j-1), tagged with their provenance variant and with
-    what sets the variant apart from the other printed readings."""
+    a(z) = sum_j k_j z^(j-1), stored as a tuple of floats, tagged with their
+    provenance variant and with what sets the variant apart from the other
+    printed readings."""
 
-    k: tuple[float, ...]
-    variant_tag: str
-    notes: str = ""
+    __slots__ = ("k", "variant_tag", "notes")
+    _defaults = {"notes": ""}
 
-    def __post_init__(self):
-        if len(self.k) != 17:
+    def _check(self, k, variant_tag, notes):
+        k = tuple(map(to_float, k))
+        if len(k) != 17:
             raise DomainError("Phi9Coefficients requires exactly 17 entries")
-        if not all(math.isfinite(c) for c in self.k):
+        if not all(math.isfinite(c) for c in k):
             raise DomainError("Phi9Coefficients requires finite entries")
+        return k, variant_tag, notes
 
 
 # Coefficients k1..k17 of the ninth approximation exactly as tabulated.
@@ -116,8 +121,7 @@ def phi9_linear_coefficient(z: float, coeffs: Phi9Coefficients | None = None) ->
     return _horner(z, (coeffs or DEFAULT_PHI9).k)
 
 
-@dataclass(frozen=True, slots=True)
-class ApproxDescriptor:
+class ApproxDescriptor(Record):
     """One approximation: identity, published accuracy, exponent, domain.
 
     ``y(z)`` is the exponent; phi9's reads DEFAULT_PHI9.  ``domain_max`` is
@@ -126,17 +130,12 @@ class ApproxDescriptor:
     ``reported_mxae``/``reported_mae`` are the published grid-error figures.
     """
 
-    index: int
-    name: str
-    domain_max: float
-    reported_mxae: float
-    reported_mae: float
-    y: Callable[[float], float]
+    __slots__ = ("index", "name", "domain_max", "reported_mxae", "reported_mae", "y")
 
 
 _DESCRIPTORS = (
     ApproxDescriptor(1, "Tocher (1963)", math.inf, 1.77e-2, 7.05e-3,
-                     lambda z: 2.0 * math.sqrt(2.0 / _PI) * z),
+                     lambda z: _PHI1_SLOPE * z),
     # pole at z = 9
     ApproxDescriptor(2, "Lin (1990)", 9.0, 6.69e-3, 1.10e-3,
                      lambda z: 4.2 * _PI * z / (9.0 - z)),
@@ -145,8 +144,7 @@ _DESCRIPTORS = (
     # grouping validated against the published max error 3.14e-4:
     # y = z*sqrt(8/pi) + sqrt(2/pi)*(4-pi)*z^3/(3*pi)
     ApproxDescriptor(4, "Vedder (1993)", math.inf, 3.14e-4, 9.99e-5,
-                     lambda z: (math.sqrt(8.0 / _PI) * z
-                                + math.sqrt(2.0 / _PI) * (4.0 - _PI) * z**3 / (3.0 * _PI))),
+                     lambda z: _SQRT_8_PI * z + _PHI4_CUBIC * z**3 / _3_PI),
     # y' has its root at z = 7.96202, where the -z^5 term takes over
     ApproxDescriptor(5, "Waissi-Rossin (1996)", 7.96, 4.37e-5, 1.69e-5,
                      lambda z: _SQRT_PI * (0.9 * z + 0.0418198 * z**3 - 0.0004406 * z**5)),

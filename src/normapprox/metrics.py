@@ -19,21 +19,19 @@ keeps it single-threaded for exact reproducibility.
 
 import math
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import inverse
 from .approximations import DEFAULT_PHI9, descriptor, eval_cdf_approx
-from .errors import DomainError, to_float
+from .errors import DomainError, Record, to_float
 from .reference import ref_cdf
 
 MAX_GRID_POINTS = 1_000_000  # 200 x GRID_B; bounds what a CLI grid allocates
 _MAX_CACHED_REPORTS = 16  # phi9 readings kept per grid: the eight variants fit
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Inclusive arithmetic progression of abscissae.
+class GridSpec(Record):
+    """Inclusive arithmetic progression of abscissae, stored as floats.
 
     ``step`` must not exceed ``stop - start`` and must evenly divide it to
     within 1e-6 of their ratio, so the last generated point,
@@ -41,17 +39,15 @@ class GridSpec:
     span: ``GridSpec(0.0, 8.9999999, 0.5)`` ends at 9.0.
     """
 
-    start: float
-    stop: float
-    step: float
+    __slots__ = ("start", "stop", "step")
 
-    def __post_init__(self):
-        start, stop, step = (to_float(v) for v in (self.start, self.stop, self.step))
-        if not all(math.isfinite(v) for v in (start, stop, step)):
+    def _check(self, *bounds):
+        start, stop, step = bounds = tuple(map(to_float, bounds))
+        if not all(math.isfinite(v) for v in bounds):
             raise DomainError("grid bounds and step must be finite")
-        if self.step <= 0.0:
+        if step <= 0.0:
             raise DomainError("grid step must be positive")
-        if self.stop <= self.start:
+        if stop <= start:
             raise DomainError("grid stop must exceed start")
         ratio = (stop - start) / step  # in floats: a huge ratio is inf, not OverflowError
         # count is round(ratio) + 1; the first test rejects an inf before round()
@@ -61,6 +57,7 @@ class GridSpec:
             raise DomainError("grid step must not exceed stop - start")
         if abs(ratio - round(ratio)) > 1e-6 * max(1.0, abs(ratio)):
             raise DomainError("grid step must evenly divide stop - start")
+        return bounds
 
     @property
     def count(self) -> int:
@@ -77,30 +74,18 @@ GRID_B = GridSpec(0.0, 5.0, 0.001)     # 5001-point default (accuracy tables)
 DEFAULT_INVERSE_GRID = GridSpec(0.0, 4.8, 0.4)
 
 
-@dataclass(frozen=True)
-class ErrorReport:
+class ErrorReport(Record):
     """MXAE with its argmax location plus MAE for one approximation on one
     grid.  Ties at the maximum resolve to the smallest abscissa."""
 
-    grid: GridSpec
-    mxae: float
-    mxae_location: float
-    mae: float
+    __slots__ = ("grid", "mxae", "mxae_location", "mae")
 
 
-@dataclass(frozen=True)
-class InverseRow:
+class InverseRow(Record):
     """One row of the quantile comparison: z, p = Phi(z), the three
     approximations and their signed differences."""
 
-    z: float
-    p: float
-    zhat1: float
-    zhat2: float
-    zhat3: float
-    delta1: float
-    delta2: float
-    delta3: float
+    __slots__ = ("z", "p", "zhat1", "zhat2", "zhat3", "delta1", "delta2", "delta3")
 
 
 # (abscissae, oracle values, phi9 reports) of a grid.  A 1,000,000-point

@@ -12,12 +12,12 @@ grid) and selects the minimal-MXAE variant, treating the published accuracy
 figures as the specification of record.
 """
 
-from dataclasses import dataclass
 from itertools import product
 
 from .approximations import (DEFAULT_PHI9, PHI9_READINGS, Phi9Coefficients,
                              descriptor, phi9_reading)
-from .metrics import GRID_B, ErrorReport, GridSpec, phi9_error_reports
+from .errors import Record
+from .metrics import GRID_B, GridSpec, phi9_error_reports
 
 # Published accuracy of the ninth approximation and the gate a variant must
 # meet to count as reproducing it.
@@ -28,20 +28,16 @@ GATE_MXAE = 1e-9
 GATE_ARGMAX_TOL = 0.01
 
 
-@dataclass(frozen=True)
-class ReconciliationReport:
+class ReconciliationReport(Record):
     """Every variant with its grid error report, plus the selection outcome.
 
+    ``variants`` holds ``(Phi9Coefficients, ErrorReport)`` pairs.
     ``selected_report`` is the grid error report of the ``selected`` variant.
     ``gate_passed`` is True only when the selected variant reproduces the
     published MXAE gate (<= 1e-9 with the argmax at the published location).
     """
 
-    variants: tuple[tuple[Phi9Coefficients, ErrorReport], ...]
-    selected: str
-    selected_report: ErrorReport
-    gate_passed: bool
-    notes: str
+    __slots__ = ("variants", "selected", "selected_report", "gate_passed", "notes")
 
 
 def generate_variants() -> tuple[Phi9Coefficients, ...]:

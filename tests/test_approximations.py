@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from normapprox import (DEFAULT_PHI9, DomainError, GRID_A, GRID_B, GridSpec,
                         Phi9Coefficients, eval_cdf_approx,
                         eval_cdf_extended, inverse_table, list_approximations,
-                        phi9_linear_coefficient, polya_cdf, ref_cdf,
+                        phi9_error_reports, phi9_linear_coefficient,
+                        polya_cdf, ref_cdf,
                         ref_quantile, z1_schmeiser)
 from normapprox.approximations import _horner
 from goldens import TABLE2
@@ -186,6 +187,14 @@ def test_unknown_id_rejected(bad_id):
 def test_coefficients_require_17_entries():
     with pytest.raises(DomainError):
         Phi9Coefficients(k=(1.0, 2.0), variant_tag="short")
+
+
+def test_coefficients_store_a_tuple_of_floats():
+    listed = Phi9Coefficients(list(DEFAULT_PHI9.k), "listed")
+    assert type(listed.k) is tuple and listed.k == DEFAULT_PHI9.k
+    assert [type(c) for c in Phi9Coefficients([1] * 17, "ints").k] == [float] * 17
+    # k is the reading's cache key, so a list once escaped as TypeError there
+    assert phi9_error_reports(GRID_A, [listed]) == phi9_error_reports(GRID_A, [DEFAULT_PHI9])
 
 
 @pytest.mark.parametrize("approx_id", range(1, 9))

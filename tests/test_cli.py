@@ -2,7 +2,6 @@
 
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -19,8 +18,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import normapprox
-from normapprox import (GRID_A, GRID_B, DomainError, GridSpec, compute_error_report,
-                        inverse_table, quantile_approx)
+from normapprox import (GRID_A, GRID_B, DomainError, ErrorReport, GridSpec,
+                        compute_error_report, inverse_table, quantile_approx)
 from normapprox.cli import build_parser, main
 
 
@@ -60,7 +59,8 @@ def test_json_rejects_nan_instead_of_printing_it(capsys, monkeypatch):
     # NaN is not JSON; json.dumps would print it as a bare NaN token
     def report_with_nan(approx_id, spec):
         rep = compute_error_report(approx_id, spec)
-        return dataclasses.replace(rep, mae=math.nan) if approx_id == 3 else rep
+        return (ErrorReport(rep.grid, rep.mxae, rep.mxae_location, math.nan)
+                if approx_id == 3 else rep)
 
     monkeypatch.setattr(normapprox.cli, "compute_error_report", report_with_nan)
     code, out, err = run(capsys, "table2", "--format", "json")

@@ -31,6 +31,13 @@ def test_degenerate_grid_rejected():
         GridSpec(0.0, 0.0, 0.1)
 
 
+def test_grid_stores_the_floats_it_checks():
+    assert GridSpec("0", "4", "0.5") == GridSpec(0.0, 4.0, 0.5)
+    assert [repr(v) for v in (GridSpec(0, 4, 1).start, GridSpec(0, 4, 1).step)] == ["0.0", "1.0"]
+    with pytest.raises(DomainError, match="step must be positive"):
+        GridSpec("0", "4", "-0.5")
+
+
 def test_nonpositive_step_rejected():
     with pytest.raises(DomainError):
         GridSpec(0.0, 1.0, 0.0)

@@ -74,6 +74,14 @@ def test_selection_is_deterministic():
     assert reconcile_phi9().selected == reconcile_phi9().selected
 
 
+def test_equal_int_and_float_grids_print_alike():
+    # equal grids share one cache entry, so the first one's fields once
+    # printed for the second: grid_start: 0 after an int grid
+    assert "grid_start: 0.0\n" in format_report(reconcile_phi9(GridSpec(0, 4, 1)))
+    assert format_report(reconcile_phi9(GridSpec(0.0, 4.0, 1.0))) == \
+        format_report(reconcile_phi9(GridSpec(0, 4, 1)))
+
+
 def test_reconcile_on_coarser_grid_same_winner():
     report = reconcile_phi9(GridSpec(0.0, 4.0, 0.01))
     assert report.selected == DEFAULT_PHI9.variant_tag

@@ -166,14 +166,17 @@ def test_quantile_relative_accuracy_against_mpmath():
             assert abs(mpmath.mpf(z) - exact) <= 1e-14 * abs(exact), p
 
 
-def test_import_leaves_statistics_unimported():
-    # statistics costs about 5 ms of every fresh process's start-up and serves
-    # only ref_quantile, which no CLI command calls
+def test_import_leaves_heavy_modules_unimported():
+    # every CLI run pays these at start-up: statistics (about 5 ms) serves only
+    # ref_quantile, which no CLI command calls, and dataclasses (about 11 ms,
+    # mostly for the inspect it imports) would serve only the records
     src = os.path.dirname(os.path.dirname(normapprox.__file__))
+    heavy = ("statistics", "dataclasses", "inspect")
     done = subprocess.run(
-        [sys.executable, "-c", "import normapprox, sys; print('statistics' in sys.modules)"],
+        [sys.executable, "-c",
+         f"import normapprox, sys; print(*[m in sys.modules for m in {heavy!r}])"],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
-    assert done.stdout.split() == ["False"], done.stderr
+    assert done.stdout.split() == ["False"] * len(heavy), done.stderr
 
 
 def test_every_exported_name_resolves():

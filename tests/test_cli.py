@@ -166,8 +166,16 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
     # phi4's exponent has z**3
     (["curves", "--approx", "4", "--format", "csv"], "figure1_phi4.csv"),
     (["curves", "--approx", "9", "--format", "csv"], "figure2_delta3.csv"),
+    (["table2", "--format", "json"], "table2.json"),
+    (["table34"], "table34.md"),
+    (["curves", "--approx", "9", "--format", "markdown"], "figure1_phi9.md"),
+    (["curves", "--approx", "9", "--format", "markdown"], "figure2_delta3.md"),
+    (["eval", "--approx", "9", "--format", "json", "0.5", "1.25", "3"], "eval.json"),
+    (["invert", "--inverse", "3", "0.025", "0.5", "0.975"], "invert.md"),
 ], ids=["table2", "table2-markdown", "table34", "reconcile", "reconcile-grid-a",
-        "curves-phi9", "curves-phi4", "curves-figure2"])
+        "curves-phi9", "curves-phi4", "curves-figure2", "table2-json",
+        "table34-markdown", "curves-phi9-markdown", "curves-figure2-markdown",
+        "eval-json", "invert-markdown"])
 def test_artefacts_match_golden_bytes(tmp_path, capsys, argv, golden):
     """Each published artefact, byte for byte, including the ``*_full`` columns.
 
@@ -179,8 +187,17 @@ def test_artefacts_match_golden_bytes(tmp_path, capsys, argv, golden):
     tests/golden/reconcile.txt``, ``normapprox reconcile --grid-stop 4
     --grid-step 0.01 --output tests/golden/reconcile_grid_a.txt`` and
     ``normapprox curves --approx N --format csv --output tests/golden`` for
-    N = 9 and 4 (each also writes the same figure2_delta3.csv).  A change to
-    any of them is a change to a published number and belongs in CHANGES.md.
+    N = 9 and 4 (each also writes the same figure2_delta3.csv).  The files
+    that pin the other renderer branches come from ``normapprox table2
+    --format json --output tests/golden/table2.json`` (JSON with grid meta),
+    ``normapprox table34 --output tests/golden/table34.md`` (two titled
+    markdown sections), ``normapprox curves --approx 9 --format markdown
+    --output tests/golden`` (figure1_phi9.md and figure2_delta3.md),
+    ``normapprox eval --approx 9 --format json 0.5 1.25 3 --output
+    tests/golden/eval.json`` (JSON with meta that is not a grid) and
+    ``normapprox invert --inverse 3 0.025 0.5 0.975 --output
+    tests/golden/invert.md`` (untitled markdown).  A change to any of them
+    is a change to a published number and belongs in CHANGES.md.
     """
     # curves writes into a directory; the other commands write one file
     out = tmp_path if argv[0] == "curves" else tmp_path / golden
@@ -217,6 +234,15 @@ def test_curves_writes_both_figures(tmp_path, capsys):
     assert len(rows2) == 481
     p0, d0 = (float(v) for v in rows2[0])
     assert p0 == 0.5 and d0 == 0.0
+
+
+def test_curves_prints_no_path_when_a_write_fails(tmp_path, capsys):
+    # figure1 is written, figure2 is not; a path is printed only once both exist
+    (tmp_path / "figure2_delta3.csv").mkdir()
+    code, out, err = run(capsys, "curves", "--output", str(tmp_path))
+    assert code == 3
+    assert out == ""
+    assert "i/o" in err.lower()
 
 
 def test_curves_grid_choice_changes_row_count(tmp_path, capsys):

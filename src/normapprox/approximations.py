@@ -132,6 +132,12 @@ class ApproxDescriptor(Record):
 
     __slots__ = ("index", "name", "domain_max", "reported_mxae", "reported_mae", "y")
 
+    def __reduce__(self):
+        # a registry row's exponent is a lambda, so the row pickles by its index
+        if _BY_INDEX.get(self.index) is self:
+            return descriptor, (self.index,)
+        return super().__reduce__()
+
 
 _DESCRIPTORS = (
     ApproxDescriptor(1, "Tocher (1963)", math.inf, 1.77e-2, 7.05e-3,

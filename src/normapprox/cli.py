@@ -30,18 +30,32 @@ _WARMUP_EVALS = 20_000
 _FIG2_GRID = GridSpec(0.0, 4.8, 0.01)
 
 
-def _render_csv(headers, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(headers)
-    # floats are written as repr, the shortest round-trip decimal form
-    writer.writerows(rows)
-    return buf.getvalue()
+def _grid_meta(spec: GridSpec) -> dict:
+    return {"grid": {"start": spec.start, "stop": spec.stop,
+                     "step": spec.step, "count": spec.count}}
 
 
-def _render_markdown(sections) -> str:
+def _render(fmt, command, meta, headers, rows, sections=None) -> str:
+    """csv, JSON with ``meta``, or markdown tables: ``sections`` or one untitled."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(headers)
+        # floats are written as repr, the shortest round-trip decimal form
+        writer.writerows(rows)
+        return buf.getvalue()
+    if fmt == "json":
+        obj = {
+            "meta": {"command": command, "version": __version__,
+                     "phi9_variant": DEFAULT_PHI9.variant_tag, **meta},
+            "rows": [dict(zip(headers, row)) for row in rows],
+        }
+        try:
+            return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+        except ValueError as exc:  # NaN or an infinity, which JSON cannot hold
+            raise DomainError(f"cannot render {command} as JSON: {exc}") from None
     parts = []
-    for title, headers, rows in sections:
+    for title, headers, rows in sections or [("", headers, rows)]:
         lines = []
         if title:
             lines.append(f"### {title}")
@@ -55,44 +69,19 @@ def _render_markdown(sections) -> str:
     return "\n\n".join(parts) + "\n"
 
 
-def _render_json(command, meta, headers, rows) -> str:
-    obj = {
-        "meta": {"command": command, "version": __version__,
-                 "phi9_variant": DEFAULT_PHI9.variant_tag, **meta},
-        "rows": [dict(zip(headers, row)) for row in rows],
-    }
-    try:
-        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
-    except ValueError as exc:  # NaN or an infinity, which JSON cannot hold
-        raise DomainError(f"cannot render {command} as JSON: {exc}") from None
-
-
-def _grid_meta(spec: GridSpec) -> dict:
-    return {"grid": {"start": spec.start, "stop": spec.stop,
-                     "step": spec.step, "count": spec.count}}
-
-
-def _render(fmt, command, meta, headers, rows, markdown_sections=None):
-    if fmt == "csv":
-        return _render_csv(headers, rows)
-    if fmt == "json":
-        return _render_json(command, meta, headers, rows)
-    return _render_markdown(markdown_sections or [("", headers, rows)])
-
-
-def _emit(args, text) -> None:
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+def _emit(args, command, meta, headers, rows, sections=None, path=None) -> int:
+    """Write the rendered table to ``path``, ``--output`` or stdout; exit code 0."""
+    text = _render(args.format, command, meta, headers, rows, sections)
+    path = path or args.output
+    if path:
+        Path(path).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-
-
-def _grid_from_args(args) -> GridSpec:
-    return GridSpec(start=args.grid_start, stop=args.grid_stop, step=args.grid_step)
+    return 0
 
 
 def cmd_table2(args) -> int:
-    spec = _grid_from_args(args)
+    spec = GridSpec(args.grid_start, args.grid_stop, args.grid_step)
     headers = ["approx", "name", "mxae", "mae",
                "mxae_full", "mae_full", "mxae_location"]
     rows = []
@@ -100,14 +89,12 @@ def cmd_table2(args) -> int:
         rep = compute_error_report(d.index, spec)
         rows.append([f"phi{d.index}", d.name, f"{rep.mxae:.2e}", f"{rep.mae:.2e}",
                      rep.mxae, rep.mae, rep.mxae_location])
-    text = _render(args.format, "table2", _grid_meta(spec), headers, rows,
-                   [("accuracy summary (MXAE / MAE)", headers, rows)])
-    _emit(args, text)
-    return 0
+    return _emit(args, "table2", _grid_meta(spec), headers, rows,
+                 [("accuracy summary (MXAE / MAE)", headers, rows)])
 
 
 def cmd_table34(args) -> int:
-    spec = _grid_from_args(args)
+    spec = GridSpec(args.grid_start, args.grid_stop, args.grid_step)
     data = inverse_table(spec.points())
     headers = ["z", "p", "zhat1", "zhat2", "zhat3",
                "delta1", "delta2", "delta3",
@@ -126,13 +113,11 @@ def cmd_table34(args) -> int:
         ("quantile approximations", ["z", "p", "zhat1", "zhat2", "zhat3"], approx_rows),
         ("signed differences (zhat - z)", ["z", "p", "delta1", "delta2", "delta3"], delta_rows),
     ]
-    text = _render(args.format, "table34", _grid_meta(spec), headers, rows, sections)
-    _emit(args, text)
-    return 0
+    return _emit(args, "table34", _grid_meta(spec), headers, rows, sections)
 
 
 def cmd_curves(args) -> int:
-    spec = _grid_from_args(args)
+    spec = GridSpec(args.grid_start, args.grid_stop, args.grid_step)
     fig1_rows = error_curve(args.approx, spec)
     # the (p, delta3) columns of inverse_table, without computing the others
     fig2_rows = []
@@ -143,23 +128,17 @@ def cmd_curves(args) -> int:
     outdir = Path(args.output or ".")
     outdir.mkdir(parents=True, exist_ok=True)
     ext = {"csv": "csv", "json": "json", "markdown": "md"}[args.format]
-
-    fig1_path = outdir / f"figure1_phi{args.approx}.{ext}"
-    fig1_path.write_text(
-        _render(args.format, "curves.figure1", _grid_meta(spec),
-                ["z", "diff"], fig1_rows,
-                [(f"signed error of phi{args.approx}", ["z", "diff"], fig1_rows)]),
-        encoding="utf-8")
-
-    fig2_path = outdir / f"figure2_delta3.{ext}"
-    fig2_path.write_text(
-        _render(args.format, "curves.figure2", _grid_meta(_FIG2_GRID),
-                ["p", "delta3"], fig2_rows,
-                [("delta3 against p", ["p", "delta3"], fig2_rows)]),
-        encoding="utf-8")
-
-    print(fig1_path)
-    print(fig2_path)
+    figures = [
+        (outdir / f"figure1_phi{args.approx}.{ext}", "curves.figure1", spec,
+         ["z", "diff"], fig1_rows, f"signed error of phi{args.approx}"),
+        (outdir / f"figure2_delta3.{ext}", "curves.figure2", _FIG2_GRID,
+         ["p", "delta3"], fig2_rows, "delta3 against p"),
+    ]
+    for path, command, grid, headers, rows, title in figures:
+        _emit(args, command, _grid_meta(grid), headers, rows, [(title, headers, rows)],
+              path)
+    for path, *_ in figures:  # only once every figure is written
+        print(path)
     return 0
 
 
@@ -192,15 +171,12 @@ def cmd_bench(args) -> int:
     rows = [[subject, args.evals, f"{wall:.4f}",
              f"{wall / args.evals * 1e9:.1f}", wall, wall / args.evals]
             for subject, wall in run_bench(args.evals)]
-    text = _render(args.format, "bench", {"evaluations": args.evals},
-                   headers, rows, [("evaluation throughput", headers, rows)])
-    _emit(args, text)
-    return 0
+    return _emit(args, "bench", {"evaluations": args.evals},
+                 headers, rows, [("evaluation throughput", headers, rows)])
 
 
 def cmd_reconcile(args) -> int:
-    spec = _grid_from_args(args)
-    report = reconcile_phi9(spec)
+    report = reconcile_phi9(GridSpec(args.grid_start, args.grid_stop, args.grid_step))
     path = args.output or "phi9_reconciliation.txt"
     Path(path).write_text(format_report(report), encoding="utf-8")
     sel = report.selected_report
@@ -214,17 +190,13 @@ def cmd_reconcile(args) -> int:
 def cmd_eval(args) -> int:
     headers = ["z", "value"]
     rows = [[z, eval_cdf_extended(args.approx, z)] for z in args.values]
-    text = _render(args.format, "eval", {"approx": args.approx}, headers, rows)
-    _emit(args, text)
-    return 0
+    return _emit(args, "eval", {"approx": args.approx}, headers, rows)
 
 
 def cmd_invert(args) -> int:
     headers = ["p", "z"]
     rows = [[p, quantile_approx(args.inverse, p)] for p in args.values]
-    text = _render(args.format, "invert", {"inverse": args.inverse}, headers, rows)
-    _emit(args, text)
-    return 0
+    return _emit(args, "invert", {"inverse": args.inverse}, headers, rows)
 
 
 def _add_grid_flags(sp, default: GridSpec) -> None:

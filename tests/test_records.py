@@ -15,7 +15,7 @@ SMALL_GRID = GridSpec(0.0, 4.0, 0.5)
 
 
 def _records():
-    # math.erf pickles by name, where the registry's lambdas cannot
+    # not a registry row: those unpickle to themselves without passing _check
     return [DEFAULT_PHI9, GRID_A, compute_error_report(3, GRID_A), inverse_table()[1],
             reconcile_phi9(SMALL_GRID),
             ApproxDescriptor(1, "erf", math.inf, 1e-3, 1e-4, math.erf)]
@@ -114,6 +114,15 @@ def test_validation_converts_on_unpickling():
 
 @pytest.mark.parametrize("d", list_approximations(), ids=lambda d: f"phi{d.index}")
 def test_registry_rows_deepcopy_to_equal_rows(d):
-    # functions copy as themselves, so the copy holds the same exponent
+    # a registry row copies to itself, so the copy holds the same exponent
     clone = copy.deepcopy(d)
     assert clone == d and clone.y is d.y
+
+
+def test_registry_rows_unpickle_to_themselves():
+    # each exponent is a lambda, so a row pickles as a reference to the registry
+    rows = list_approximations()
+    for d in rows:
+        assert pickle.loads(pickle.dumps(d)) is d
+    clone = pickle.loads(pickle.dumps(rows))
+    assert clone == rows and all(c is d for c, d in zip(clone, rows))

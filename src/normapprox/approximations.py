@@ -128,6 +128,7 @@ class ApproxDescriptor(Record):
     an exclusive upper bound on |z| (inf = unbounded): y increases on
     [0, domain_max), so the CDF is monotone there.
     ``reported_mxae``/``reported_mae`` are the published grid-error figures.
+    A registry row unpickles and copies to itself, without ``_check``.
     """
 
     __slots__ = ("index", "name", "domain_max", "reported_mxae", "reported_mae", "y")

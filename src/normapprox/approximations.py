@@ -10,6 +10,7 @@ registry is immutable.
 """
 
 import math
+from itertools import product
 
 from .errors import DomainError, Record, to_float
 
@@ -64,7 +65,7 @@ K_TABULATED = (
 
 # The entries in doubt, by zero-based position: each has two readings
 # (tag, value, note), the tabulated one first.
-PHI9_READINGS = {
+_PHI9_READINGS = {
     2: (("k3print", K_TABULATED[2], "k3 as printed"),
         ("k3shift", 0.072670769,
          "k3 shifted one digit right (cubic magnitude of the sibling formulas)")),
@@ -81,26 +82,25 @@ _LITERAL_LABELS = {
 }
 
 
-def phi9_reading(tags) -> Phi9Coefficients:
-    """K_TABULATED with each entry in doubt read as ``tags`` names it (one tag
-    per PHI9_READINGS position, in order), labelled and annotated."""
-    tags = tuple(tags)
+def _phi9_variant(readings) -> Phi9Coefficients:
+    # K_TABULATED with each entry in doubt read as its (tag, value, note) says
+    tags, values, notes = zip(*readings)
     k = list(K_TABULATED)
-    notes = []
-    for (pos, readings), tag in zip(PHI9_READINGS.items(), tags, strict=True):
-        _, value, note = next(r for r in readings if r[0] == tag)
+    for pos, value in zip(_PHI9_READINGS, values):
         k[pos] = value
-        notes.append(note)
-    return Phi9Coefficients(k=tuple(k),
-                            variant_tag=_LITERAL_LABELS.get(tags, "-".join(tags)),
+    return Phi9Coefficients(k=k, variant_tag=_LITERAL_LABELS.get(tags, "-".join(tags)),
                             notes="; ".join(notes))
 
+
+# The eight variants, every combination of the readings with k8's varying
+# fastest: table-literal first, prose-literal third.
+PHI9_VARIANTS = tuple(map(_phi9_variant, product(*_PHI9_READINGS.values())))
 
 # Default coefficient variant shipped by the library: the winner of
 # reconcile.reconcile_phi9 on the 0..5 step 0.001 grid (minimal grid MXAE
 # among the eight printed-coefficient variants).  Re-run the ``reconcile``
 # CLI command to regenerate the selection evidence.
-DEFAULT_PHI9 = phi9_reading(("k3shift", "k5minus", "k8shift"))
+DEFAULT_PHI9 = next(v for v in PHI9_VARIANTS if v.variant_tag == "k3shift-k5minus-k8shift")
 
 
 def _horner(z: float, k: tuple[float, ...]) -> float:

@@ -134,9 +134,14 @@ def cmd_curves(args) -> int:
         (outdir / f"figure2_delta3.{ext}", "curves.figure2", _FIG2_GRID,
          ["p", "delta3"], fig2_rows, "delta3 against p"),
     ]
-    for path, command, grid, headers, rows, title in figures:
-        _emit(args, command, _grid_meta(grid), headers, rows, [(title, headers, rows)],
-              path)
+    for i, (path, command, grid, headers, rows, title) in enumerate(figures):
+        try:
+            _emit(args, command, _grid_meta(grid), headers, rows,
+                  [(title, headers, rows)], path)
+        except OSError:
+            for written, *_ in figures[:i]:  # leave no partial figure set
+                written.unlink(missing_ok=True)
+            raise
     for path, *_ in figures:  # only once every figure is written
         print(path)
     return 0

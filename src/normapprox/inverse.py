@@ -49,9 +49,9 @@ def d1_poly(p: float) -> float:
 
 def z3_proposed(p: float) -> float:
     """sqrt(-(1/d1) * ln(1 - [2(p - 0.5)]^2)) with d1 = d1_poly(p)."""
-    p = _check_p(p)
-    u = 2.0 * (p - 0.5)
-    t = -math.log(1.0 - u * u) / d1_poly(p)
+    d1 = d1_poly(p)  # checks p
+    u = 2.0 * (float(p) - 0.5)
+    t = -math.log(1.0 - u * u) / d1
     return math.sqrt(t) if t != 0.0 else 0.0
 
 

@@ -42,7 +42,8 @@ class GridSpec(Record):
     __slots__ = ("start", "stop", "step")
 
     def _check(self, *bounds):
-        start, stop, step = bounds = tuple(map(to_float, bounds))
+        # + 0.0 turns -0.0 into 0.0, so equal grids store and print alike
+        start, stop, step = bounds = tuple(to_float(v) + 0.0 for v in bounds)
         if not all(math.isfinite(v) for v in bounds):
             raise DomainError("grid bounds and step must be finite")
         if step <= 0.0:

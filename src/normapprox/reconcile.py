@@ -1,21 +1,15 @@
 """Empirical selection among the conflicting printed coefficient variants of
 the ninth approximation's exponent polynomial.
 
-The published sources disagree at three positions: k3 is printed an order of
-magnitude above the cubic coefficient of every sibling formula (suggesting a
-dropped leading zero), k5 changes sign between the running-text polynomial
-and the tabulated values, and k8 is printed two orders above its neighbours
-(suggesting an exponent slip).  ``generate_variants`` enumerates the 2^3
-combinations; ``reconcile_phi9`` scores all eight against the oracle through
+The published sources disagree at k3, k5 and k8; ``approximations`` holds the
+two readings of each and builds their eight combinations as ``PHI9_VARIANTS``.
+``reconcile_phi9`` scores all eight against the oracle through
 ``phi9_error_reports`` (one grid pass for those not already scored on the
 grid) and selects the minimal-MXAE variant, treating the published accuracy
 figures as the specification of record.
 """
 
-from itertools import product
-
-from .approximations import (DEFAULT_PHI9, PHI9_READINGS, Phi9Coefficients,
-                             descriptor, phi9_reading)
+from .approximations import DEFAULT_PHI9, PHI9_VARIANTS, descriptor
 from .errors import Record
 from .metrics import GRID_B, GridSpec, phi9_error_reports
 
@@ -40,20 +34,9 @@ class ReconciliationReport(Record):
     __slots__ = ("variants", "selected", "selected_report", "gate_passed", "notes")
 
 
-def generate_variants() -> tuple[Phi9Coefficients, ...]:
-    """The 8 variants from the three flagged positions, in a fixed order.
-
-    The all-as-printed combination is labelled ``table-literal``; the one
-    matching the running text (negative k5) is ``prose-literal``.
-    """
-    return tuple(phi9_reading(tag for tag, _, _ in readings)
-                 for readings in product(*PHI9_READINGS.values()))
-
-
 def reconcile_phi9(spec: GridSpec = GRID_B) -> ReconciliationReport:
     """Score all variants on ``spec`` and select the minimal MXAE."""
-    variants = generate_variants()
-    scored = tuple(zip(variants, phi9_error_reports(spec, variants)))
+    scored = tuple(zip(PHI9_VARIANTS, phi9_error_reports(spec, PHI9_VARIANTS)))
     best_variant, best_report = min(scored, key=lambda vr: vr[1].mxae)
     ties = [v.variant_tag for v, r in scored
             if r.mxae == best_report.mxae and v is not best_variant]

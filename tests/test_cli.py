@@ -237,12 +237,14 @@ def test_curves_writes_both_figures(tmp_path, capsys):
 
 
 def test_curves_prints_no_path_when_a_write_fails(tmp_path, capsys):
-    # figure1 is written, figure2 is not; a path is printed only once both exist
+    # figure2 cannot be written; a path is printed only once both exist
     (tmp_path / "figure2_delta3.csv").mkdir()
     code, out, err = run(capsys, "curves", "--output", str(tmp_path))
     assert code == 3
     assert out == ""
     assert "i/o" in err.lower()
+    # nor is figure1 left behind: the set is written whole or not at all
+    assert not (tmp_path / "figure1_phi9.csv").exists()
 
 
 def test_curves_grid_choice_changes_row_count(tmp_path, capsys):

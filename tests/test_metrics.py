@@ -4,9 +4,9 @@ import math
 
 import pytest
 
-from normapprox import (DEFAULT_PHI9, DomainError, GRID_A, GRID_B, GridSpec,
-                        Phi9Coefficients, compute_error_report, error_curve,
-                        eval_cdf_approx, generate_variants, inverse_table,
+from normapprox import (DEFAULT_PHI9, PHI9_VARIANTS, DomainError, GRID_A, GRID_B,
+                        GridSpec, Phi9Coefficients, compute_error_report,
+                        error_curve, eval_cdf_approx, inverse_table,
                         list_approximations, phi9_error_reports,
                         phi9_linear_coefficient, reconcile_phi9, ref_cdf)
 from normapprox import cli, metrics
@@ -36,6 +36,7 @@ def test_grid_stores_the_floats_it_checks():
     assert [repr(v) for v in (GridSpec(0, 4, 1).start, GridSpec(0, 4, 1).step)] == ["0.0", "1.0"]
     with pytest.raises(DomainError, match="step must be positive"):
         GridSpec("0", "4", "-0.5")
+    assert "start=0.0," in repr(GridSpec(-0.0, 1.0, 0.5))
 
 
 def test_nonpositive_step_rejected():
@@ -178,7 +179,7 @@ def _phi9_cdf(z, r):
 
 # readings with different high parts k[8:] (k14-negated, floor) alongside the
 # eight variants, which share theirs with DEFAULT_PHI9
-_MIXED_READINGS = (*generate_variants(), DEFAULT_PHI9, _k14_negated(),
+_MIXED_READINGS = (*PHI9_VARIANTS, DEFAULT_PHI9, _k14_negated(),
                    Phi9Coefficients(k=(-1e300,) + (0.0,) * 16, variant_tag="floor"))
 
 

@@ -2,10 +2,10 @@
 
 import pytest
 
-from normapprox import (DEFAULT_PHI9, GRID_B, GridSpec, Phi9Coefficients,
-                        generate_variants, phi9_error_reports,
-                        reconcile_phi9)
+from normapprox import (DEFAULT_PHI9, GRID_B, PHI9_VARIANTS, GridSpec,
+                        Phi9Coefficients, phi9_error_reports, reconcile_phi9)
 from normapprox.approximations import K_TABULATED
+from normapprox.metrics import _ref_values
 from normapprox.reconcile import (GATE_ARGMAX_TOL, TARGET_ARGMAX, TARGET_MXAE,
                                   format_report)
 
@@ -13,27 +13,35 @@ FLAGGED = (2, 4, 7)  # zero-based positions of k3, k5, k8
 
 
 def test_eight_variants_in_fixed_order():
-    variants = generate_variants()
+    variants = PHI9_VARIANTS
     assert len(variants) == 8
     assert variants[0].variant_tag == "table-literal"
     assert variants[2].variant_tag == "prose-literal"
     assert len({v.variant_tag for v in variants}) == 8
 
 
+def test_variants_are_built_once():
+    # the default is one of the variants, and reconcile scores those objects
+    assert [v is DEFAULT_PHI9 for v in PHI9_VARIANTS].count(True) == 1
+    scored = [v for v, _ in reconcile_phi9(GridSpec(0.0, 4.0, 0.5)).variants]
+    assert len(scored) == len(PHI9_VARIANTS)
+    assert all(a is b for a, b in zip(scored, PHI9_VARIANTS))
+
+
 def test_table_literal_matches_tabulated_values():
-    v = generate_variants()[0]
+    v = PHI9_VARIANTS[0]
     assert v.k == K_TABULATED
 
 
 def test_prose_literal_flips_k5_only():
-    table = generate_variants()[0].k
-    prose = generate_variants()[2].k
+    table = PHI9_VARIANTS[0].k
+    prose = PHI9_VARIANTS[2].k
     assert prose[4] == -table[4] == -5.3498e-5
     assert all(a == b for i, (a, b) in enumerate(zip(table, prose)) if i != 4)
 
 
 def test_variants_differ_only_at_flagged_positions():
-    for v in generate_variants():
+    for v in PHI9_VARIANTS:
         for i, (a, b) in enumerate(zip(v.k, K_TABULATED)):
             if i not in FLAGGED:
                 assert a == b
@@ -80,6 +88,14 @@ def test_equal_int_and_float_grids_print_alike():
     assert "grid_start: 0.0\n" in format_report(reconcile_phi9(GridSpec(0, 4, 1)))
     assert format_report(reconcile_phi9(GridSpec(0.0, 4.0, 1.0))) == \
         format_report(reconcile_phi9(GridSpec(0, 4, 1)))
+
+
+def test_negative_zero_grid_start_prints_as_zero():
+    # GridSpec(-0.0, ...) equals GridSpec(0.0, ...) and shares its cached
+    # reports, so a stored -0.0 once printed for the later, equal grid
+    _ref_values.cache_clear()
+    reconcile_phi9(GridSpec(-0.0, 4.0, 0.5))
+    assert "grid_start: 0.0\n" in format_report(reconcile_phi9(GridSpec(0.0, 4.0, 0.5)))
 
 
 def test_reconcile_on_coarser_grid_same_winner():

@@ -77,7 +77,7 @@ def quantile_approx(approx_id: int, p: float) -> float:
         return fn(p)
     if not 0.0 < p < 0.5:
         raise DomainError("quantile_approx requires 0 < p < 1")
-    q = 1.0 - p
+    q = 1.0 - to_float(p)
     if q == 1.0:
         raise DomainError(f"quantile_approx requires 0 < p < 1, and p = {p!r} "
                           "is too small to reflect: 1 - p rounds to 1")

@@ -1,6 +1,7 @@
 """Quantile approximation tests: published columns, shape, domains."""
 
 import math
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -112,6 +113,14 @@ def test_dispatch_matches_direct():
 def test_dispatch_reflects_small_p():
     assert quantile_approx(3, 0.3) == -z3_proposed(1.0 - 0.3)
     assert quantile_approx(1, 1e-3) == -z1_schmeiser(1.0 - 1e-3)
+
+
+@pytest.mark.parametrize("approx_id", [1, 2, 3])
+def test_dispatch_reflects_a_decimal_p(approx_id):
+    # the p >= 0.5 branch converted a Decimal; the reflection raised TypeError
+    assert quantile_approx(approx_id, Decimal("0.3")) == -quantile_approx(approx_id, 0.7)
+    with pytest.raises(DomainError, match="0 < p < 1"):
+        quantile_approx(approx_id, Decimal("1E-400"))
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5, math.nan, 1e-320, 1e-17])

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from statistics import NormalDist
 
 import mpmath
 import pytest
@@ -132,6 +133,7 @@ def test_quantile_rejects_out_of_domain(bad):
 def test_quantile_satisfies_cdf_contract(p):
     z = ref_quantile(p)
     assert abs(ref_cdf(z) - p) <= 1e-14
+    assert z == NormalDist().inv_cdf(p)  # the stdlib's AS 241, bit for bit
 
 
 def test_quantile_far_tail_position():
@@ -164,6 +166,31 @@ def test_quantile_relative_accuracy_against_mpmath():
             z = ref_quantile(p)
             exact = _exact_quantile(p, z)
             assert abs(mpmath.mpf(z) - exact) <= 1e-14 * abs(exact), p
+
+
+def test_quantile_is_the_stdlib_as241_bit_for_bit():
+    as241 = NormalDist().inv_cdf
+    assert [ref_quantile(p) for p in QUANTILE_GATE_PS] == [as241(p) for p in QUANTILE_GATE_PS]
+
+
+def test_quantile_first_call_binds_as241_once():
+    # ref_quantile binds inv_cdf on its first valid call: a rejected p must
+    # neither import statistics nor reach it (which would raise
+    # StatisticsError), and the call that binds must answer like later ones
+    src = os.path.dirname(os.path.dirname(normapprox.__file__))
+    probe = (
+        "import sys\n"
+        "from normapprox import DomainError, ref_quantile\n"
+        "try:\n"
+        "    ref_quantile(0.0)\n"
+        "except DomainError:\n"
+        "    print('DomainError', 'statistics' in sys.modules)\n"
+        "first = ref_quantile(0.3)\n"
+        "print('statistics' in sys.modules, first == ref_quantile(0.3), first.hex())\n")
+    done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout.split() == ["DomainError", "False", "True", "True",
+                                   NormalDist().inv_cdf(0.3).hex()], done.stderr
 
 
 def test_import_leaves_heavy_modules_unimported():

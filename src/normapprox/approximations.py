@@ -198,19 +198,9 @@ def eval_cdf_approx(approx_id: int, z: float) -> float:
         z = float(z)
     except OverflowError:  # to_float, inlined on a hot path
         z = math.inf if z > 0 else -math.inf
-    d = _BY_INDEX.get(approx_id) or descriptor(approx_id)  # descriptor() raises
-    if not 0.0 <= z < d.domain_max:
-        raise _domain_error(d, z)
-    try:
-        y = d.y(z)
-    except OverflowError:
-        # every exponent increases on its domain, so one too large for a
-        # double saturates the logistic at 1
-        return 1.0
-    if y >= 0.0:
-        return 1.0 / (1.0 + math.exp(-y))
-    e = math.exp(y)
-    return e / (1.0 + e)
+    if z < 0.0:  # descriptor() reports an unknown id first
+        raise _domain_error(descriptor(approx_id), z)
+    return eval_cdf_extended(approx_id, z)
 
 
 def _domain_error(d: ApproxDescriptor, z: float) -> DomainError:
@@ -223,8 +213,30 @@ def _domain_error(d: ApproxDescriptor, z: float) -> DomainError:
 
 
 def eval_cdf_extended(approx_id: int, z: float) -> float:
-    """Approximation extended to negative z via Phi(z) = 1 - Phi(-z);
-    eval_cdf_approx converts and checks the argument."""
-    if z >= 0.0:
-        return eval_cdf_approx(approx_id, z)
-    return 1.0 - eval_cdf_approx(approx_id, -z)
+    """Approximation ``approx_id`` at |z| < domain_max, through
+    Phi(z) = 1 - Phi(-z) for z < 0: the one scalar CDF kernel.  It compares
+    the raw z first, so a string is a TypeError, then negates, converts and
+    checks; DomainError for a z outside the domain and for unknown ids."""
+    flip = False
+    if not z >= 0.0:  # a bare compare, which CPython fuses with the branch
+        flip = True
+        z = -z
+    try:
+        z = float(z)
+    except OverflowError:  # to_float, inlined on a hot path
+        z = math.inf if z > 0 else -math.inf
+    d = _BY_INDEX.get(approx_id) or descriptor(approx_id)  # descriptor() raises
+    if not 0.0 <= z < d.domain_max:
+        raise _domain_error(d, z)
+    try:
+        y = d.y(z)
+    except OverflowError:
+        # every exponent increases on its domain, so one too large for a
+        # double saturates the logistic at 1
+        y = math.inf
+    if y >= 0.0:
+        v = 1.0 / (1.0 + math.exp(-y))
+    else:
+        e = math.exp(y)
+        v = e / (1.0 + e)
+    return 1.0 - v if flip else v

@@ -15,8 +15,7 @@ from itertools import cycle, islice
 from pathlib import Path
 
 from . import __version__
-from .approximations import (DEFAULT_PHI9, eval_cdf_approx, eval_cdf_extended,
-                             list_approximations)
+from .approximations import DEFAULT_PHI9, eval_cdf_extended, list_approximations
 from .errors import DomainError
 from .inverse import quantile_approx, z3_proposed
 from .metrics import (DEFAULT_INVERSE_GRID, GRID_A, GRID_B, GridSpec,
@@ -151,7 +150,7 @@ def run_bench(evals: int) -> list[tuple[str, float]]:
     """(subject, wall seconds for ``evals`` evaluations) for each
     approximation plus the oracle, over grid-cycled inputs."""
     points = GRID_A.points()
-    subjects = [(f"phi{d.index}", partial(eval_cdf_approx, d.index))
+    subjects = [(f"phi{d.index}", partial(eval_cdf_extended, d.index))
                 for d in list_approximations()]
     subjects.append(("oracle", ref_cdf))
     results = []

@@ -5,12 +5,12 @@ Each grid is checked once against the form's domain, before the oracle fill,
 and its abscissae, oracle values and phi9 reports are cached together.
 ``compute_error_report`` and ``phi9_error_reports``, the hot paths, are then
 the loops that skip the per-point checks: they evaluate the exponent and
-logistic directly, with the same arithmetic as ``eval_cdf_approx``.
+logistic directly, with the same arithmetic as ``eval_cdf_extended``.
 ``phi9_error_reports`` is the one phi9 grid kernel: it scores any number of
 coefficient readings in one pass, and ``compute_error_report`` scores phi9
 through it with DEFAULT_PHI9.  A reading is scored at most once per cached
 grid, so ``table2`` and ``reconcile`` share the default reading's report.
-``error_curve`` goes through ``eval_cdf_approx`` point by point.
+``error_curve`` goes through ``eval_cdf_extended`` point by point.
 Reductions run sequentially in grid order (absolute-error sums through
 ``math.fsum``), so identical inputs always reproduce bit-identical reports.
 Grid evaluation is embarrassingly parallel in principle; this implementation
@@ -22,7 +22,7 @@ from array import array
 from functools import lru_cache
 
 from . import inverse
-from .approximations import DEFAULT_PHI9, descriptor, eval_cdf_approx
+from .approximations import DEFAULT_PHI9, descriptor, eval_cdf_extended
 from .errors import DomainError, Record, to_float
 from .reference import ref_cdf
 
@@ -128,7 +128,7 @@ def compute_error_report(approx_id: int, spec: GridSpec) -> ErrorReport:
     mxae_location = pts[0]
     errs = []
     for z, r in zip(pts, refs):
-        # the logistic of eval_cdf_approx; _checked_refs has checked every z
+        # the logistic of eval_cdf_extended; _checked_refs has checked every z
         try:
             t = y(z)
         except OverflowError:
@@ -159,7 +159,7 @@ def phi9_error_reports(spec: GridSpec, readings) -> tuple[ErrorReport, ...]:
     Per point, Horner's first nine steps (k17 down to k9) run once for each
     distinct ``k[8:]``; each reading then runs its last eight steps, the
     ``* z`` and the logistic.  Every operation is the one ``_horner`` and
-    ``eval_cdf_approx`` make, in their order, so each report is bit-identical
+    ``eval_cdf_extended`` make, in their order, so each report is bit-identical
     to scoring that reading alone.  Finite coefficients on a finite grid keep
     every exponent out of NaN, so ``max`` and ``index`` give the
     first-of-ties argmax.
@@ -181,7 +181,7 @@ def phi9_error_reports(spec: GridSpec, readings) -> tuple[ErrorReport, ...]:
             for append, k1, k2, k3, k4, k5, k6, k7, k8 in lows:
                 t = ((((((((h * z + k8) * z + k7) * z + k6) * z + k5) * z
                         + k4) * z + k3) * z + k2) * z + k1) * z
-                # the logistic of eval_cdf_approx
+                # the logistic of eval_cdf_extended
                 if t >= 0.0:
                     a = 1.0 / (1.0 + exp(-t))
                 else:
@@ -202,7 +202,8 @@ def phi9_error_reports(spec: GridSpec, readings) -> tuple[ErrorReport, ...]:
 def error_curve(approx_id: int, spec: GridSpec) -> list[tuple[float, float]]:
     """Signed differences (approximation - reference) in grid order."""
     pts, refs, _ = _checked_refs(approx_id, spec)
-    return [(z, eval_cdf_approx(approx_id, z) - r) for z, r in zip(pts, refs)]
+    # _checked_refs has rejected z < 0, so eval_cdf_extended never reflects
+    return [(z, eval_cdf_extended(approx_id, z) - r) for z, r in zip(pts, refs)]
 
 
 def inverse_table(z_values=None) -> list[InverseRow]:

@@ -11,11 +11,12 @@ the underflow limit (``z ~ -37.5``) about 1.9e-13; the test suite gates both.
 ``oracle_cross_check`` uses to gate the disagreement at 1e-14.  No command of
 the CLI needs it, so scipy is imported only when it runs.
 
-``ref_quantile`` is Wichura's AS 241 (1988) rational approximation, as
-``statistics.NormalDist.inv_cdf`` ships it.  It shares no code with ``erfc``,
-so round trips through ``ref_cdf`` check two independent routes.  ``inv_cdf``
-is imported and bound once, on the first valid call; then a call costs 0.27 us
-(median ``p50_us`` of ``quantile`` in ``BENCH_ref_quantile_bound.json``).
+``ref_quantile`` is Wichura's AS 241 (1988), as ``statistics.NormalDist.inv_cdf``
+ships it; it shares no code with ``erfc``, so round trips through ``ref_cdf``
+check two independent routes.  Its C kernel, ``statistics._normal_dist_inv_cdf``,
+is bound on the first valid call; then a call costs 0.21 us (median ``p50_us``
+of ``quantile``, ``BENCH_scalar_one_frame.json``).  Tests compare every result
+bit for bit with the public ``inv_cdf``, which guards the private name.
 
 Everything here is pure and stateless; concurrent use is unrestricted.
 """
@@ -90,13 +91,12 @@ def ref_quantile(p: float) -> float:
         p = math.inf if p > 0 else -math.inf
     if not 0.0 < p < 1.0:
         raise DomainError("ref_quantile requires 0 < p < 1")
-    return _as241(p)
+    return _as241(p, 0.0, 1.0)
 
 
-def _as241(p: float) -> float:
-    # first call only: rebinds this name to the stdlib's bound inv_cdf, so
-    # every later ref_quantile reaches AS 241 with no frame in between
+def _as241(p: float, mu: float, sigma: float) -> float:
+    # first call only: rebinds this name to the C kernel, so later calls reach
+    # it directly; importing statistics takes about 5 ms, which no CLI needs
     global _as241
-    from statistics import NormalDist  # about 5 ms, which no CLI command needs
-    _as241 = NormalDist().inv_cdf
-    return _as241(p)
+    from statistics import _normal_dist_inv_cdf as _as241
+    return _as241(p, mu, sigma)

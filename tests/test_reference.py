@@ -174,9 +174,10 @@ def test_quantile_is_the_stdlib_as241_bit_for_bit():
 
 
 def test_quantile_first_call_binds_as241_once():
-    # ref_quantile binds inv_cdf on its first valid call: a rejected p must
+    # ref_quantile binds AS 241 on its first valid call: a rejected p must
     # neither import statistics nor reach it (which would raise
-    # StatisticsError), and the call that binds must answer like later ones
+    # StatisticsError), the call that binds must answer like later ones, and
+    # what it binds is the C kernel that NormalDist.inv_cdf returns through
     src = os.path.dirname(os.path.dirname(normapprox.__file__))
     probe = (
         "import sys\n"
@@ -186,11 +187,13 @@ def test_quantile_first_call_binds_as241_once():
         "except DomainError:\n"
         "    print('DomainError', 'statistics' in sys.modules)\n"
         "first = ref_quantile(0.3)\n"
-        "print('statistics' in sys.modules, first == ref_quantile(0.3), first.hex())\n")
+        "print('statistics' in sys.modules, first == ref_quantile(0.3), first.hex())\n"
+        "import statistics, normapprox.reference as reference\n"
+        "print(reference._as241 is statistics._normal_dist_inv_cdf)\n")
     done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=60)
     assert done.stdout.split() == ["DomainError", "False", "True", "True",
-                                   NormalDist().inv_cdf(0.3).hex()], done.stderr
+                                   NormalDist().inv_cdf(0.3).hex(), "True"], done.stderr
 
 
 def test_import_leaves_heavy_modules_unimported():

@@ -2,12 +2,10 @@
 scored against a self-validated high-precision oracle."""
 
 from .approximations import (DEFAULT_PHI9, PHI9_VARIANTS, ApproxDescriptor,
-                             Phi9Coefficients, eval_cdf_approx,
-                             eval_cdf_extended, list_approximations,
-                             phi9_linear_coefficient)
+                             Phi9Coefficients, eval_cdf_extended,
+                             list_approximations, phi9_linear_coefficient)
 from .errors import DomainError
-from .inverse import (d1_poly, polya_cdf, quantile_approx, z1_schmeiser,
-                      z2_shore, z3_proposed)
+from .inverse import d1_poly, polya_cdf, quantile_approx
 from .metrics import (DEFAULT_INVERSE_GRID, GRID_A, GRID_B, ErrorReport,
                       GridSpec, InverseRow, compute_error_report,
                       error_curve, inverse_table, phi9_error_reports)
@@ -33,7 +31,6 @@ __all__ = [
     "compute_error_report",
     "d1_poly",
     "error_curve",
-    "eval_cdf_approx",
     "eval_cdf_extended",
     "inverse_table",
     "list_approximations",
@@ -46,8 +43,5 @@ __all__ = [
     "reconcile_phi9",
     "ref_cdf",
     "ref_quantile",
-    "z1_schmeiser",
-    "z2_shore",
-    "z3_proposed",
     "__version__",
 ]

@@ -1,8 +1,9 @@
 """The nine closed-form logistic approximations of the standard normal CDF.
 
 Every approximation shares the shape ``1/(1 + e^(-y(z)))`` for ``z >= 0`` with
-a different exponent ``y``; negative arguments go through
-``eval_cdf_extended``, which applies the reflection ``Phi(z) = 1 - Phi(-z)``.
+a different exponent ``y``.  ``eval_cdf_extended``, the one scalar entry
+point, evaluates it there and reaches negative arguments through the
+reflection ``Phi(z) = 1 - Phi(-z)``.
 Coefficients are kept exactly as the published formulas print them; no
 refitting.  Each form is one ``ApproxDescriptor`` row of the registry, which
 holds its exponent and its validity domain.  Evaluators are pure and the
@@ -180,43 +181,21 @@ def list_approximations() -> tuple[ApproxDescriptor, ...]:
 
 
 def descriptor(approx_id: int) -> ApproxDescriptor:
-    """The registry row of ``approx_id``; DomainError for an unknown id."""
+    """The registry row of ``approx_id``; DomainError for an unknown id,
+    including one that is not an ``int`` (``True`` and ``1.0`` hash as 1)."""
     d = _BY_INDEX.get(approx_id)
-    if d is None:
+    if d is None or type(approx_id) is not int:
         raise DomainError(f"unknown approximation id {approx_id!r}")
     return d
 
 
-def eval_cdf_approx(approx_id: int, z: float) -> float:
-    """Approximation ``approx_id`` at 0 <= z < domain_max; phi9 reads
-    DEFAULT_PHI9 (``phi9_error_reports`` scores other readings).
-
-    Raises DomainError for z < 0 (use eval_cdf_extended), for z outside the
-    form's domain, and for unknown ids.
-    """
-    try:
-        z = float(z)
-    except OverflowError:  # to_float, inlined on a hot path
-        z = math.inf if z > 0 else -math.inf
-    if z < 0.0:  # descriptor() reports an unknown id first
-        raise _domain_error(descriptor(approx_id), z)
-    return eval_cdf_extended(approx_id, z)
-
-
-def _domain_error(d: ApproxDescriptor, z: float) -> DomainError:
-    if not math.isfinite(z):
-        return DomainError("eval_cdf_approx requires a finite abscissa")
-    if z < 0.0:
-        return DomainError("eval_cdf_approx requires z >= 0; "
-                           "eval_cdf_extended handles negative z")
-    return DomainError(f"{d.name} holds only for |z| < {d.domain_max:g}")
-
-
 def eval_cdf_extended(approx_id: int, z: float) -> float:
     """Approximation ``approx_id`` at |z| < domain_max, through
-    Phi(z) = 1 - Phi(-z) for z < 0: the one scalar CDF kernel.  It compares
-    the raw z first, so a string is a TypeError, then negates, converts and
-    checks; DomainError for a z outside the domain and for unknown ids."""
+    Phi(z) = 1 - Phi(-z) for z < 0: the one scalar CDF entry point; phi9
+    reads DEFAULT_PHI9 (``phi9_error_reports`` scores other readings).  It
+    compares the raw z first, so a string is a TypeError, then negates,
+    converts and checks; DomainError for a z outside the domain and for
+    unknown ids."""
     flip = False
     if not z >= 0.0:  # a bare compare, which CPython fuses with the branch
         flip = True
@@ -225,9 +204,13 @@ def eval_cdf_extended(approx_id: int, z: float) -> float:
         z = float(z)
     except OverflowError:  # to_float, inlined on a hot path
         z = math.inf if z > 0 else -math.inf
-    d = _BY_INDEX.get(approx_id) or descriptor(approx_id)  # descriptor() raises
-    if not 0.0 <= z < d.domain_max:
-        raise _domain_error(d, z)
+    d = _BY_INDEX.get(approx_id)
+    if d is None or type(approx_id) is not int:
+        descriptor(approx_id)  # raises
+    if not 0.0 <= z < d.domain_max:  # z >= 0 here unless it is NaN
+        if not math.isfinite(z):
+            raise DomainError("eval_cdf_extended requires a finite abscissa")
+        raise DomainError(f"{d.name} holds only for |z| < {d.domain_max:g}")
     try:
         y = d.y(z)
     except OverflowError:

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from .approximations import DEFAULT_PHI9, eval_cdf_extended, list_approximations
 from .errors import DomainError
-from .inverse import quantile_approx, z3_proposed
+from .inverse import quantile_approx
 from .metrics import (DEFAULT_INVERSE_GRID, GRID_A, GRID_B, GridSpec,
                       compute_error_report, error_curve, inverse_table)
 from .reconcile import format_report, reconcile_phi9
@@ -122,7 +122,7 @@ def cmd_curves(args) -> int:
     fig2_rows = []
     for z in _FIG2_GRID.points():
         p = ref_cdf(z)
-        fig2_rows.append((p, z3_proposed(p) - z))
+        fig2_rows.append((p, quantile_approx(3, p) - z))
 
     outdir = Path(args.output or ".")
     outdir.mkdir(parents=True, exist_ok=True)

@@ -21,9 +21,9 @@ import math
 from array import array
 from functools import lru_cache
 
-from . import inverse
 from .approximations import DEFAULT_PHI9, descriptor, eval_cdf_extended
 from .errors import DomainError, Record, to_float
+from .inverse import quantile_approx
 from .reference import ref_cdf
 
 MAX_GRID_POINTS = 1_000_000  # 200 x GRID_B; bounds what a CLI grid allocates
@@ -119,9 +119,9 @@ def _checked_refs(approx_id: int, spec: GridSpec) -> tuple[array, array, dict]:
 def compute_error_report(approx_id: int, spec: GridSpec) -> ErrorReport:
     """Grid MXAE (with argmax, first-of-ties) and MAE against the oracle;
     phi9 reads DEFAULT_PHI9 (``phi9_error_reports`` scores other readings)."""
+    y = descriptor(approx_id).y  # raises for an unknown id, 9.0 among them
     if approx_id == 9:
         return phi9_error_reports(spec, (DEFAULT_PHI9,))[0]
-    y = descriptor(approx_id).y
     pts, refs, _ = _checked_refs(approx_id, spec)
     exp = math.exp
     mxae = -1.0
@@ -210,8 +210,10 @@ def inverse_table(z_values=None) -> list[InverseRow]:
     """Quantile comparison rows at the given true abscissae (all >= 0).
 
     Defaults to z = 0 .. 4.8 step 0.4.  Probabilities are computed at full
-    precision from the oracle.  The delta3-versus-p figure needs only p and
-    delta3, so ``normapprox curves`` computes those two columns itself.
+    precision from the oracle, and ``zhat_i`` is ``quantile_approx(i, p)``,
+    which never reflects here, since p = Phi(z) >= 0.5.  The delta3-versus-p
+    figure needs only p and delta3, so ``normapprox curves`` computes those
+    two columns itself.
     """
     if z_values is None:
         z_values = DEFAULT_INVERSE_GRID.points()
@@ -224,9 +226,9 @@ def inverse_table(z_values=None) -> list[InverseRow]:
         if p == 1.0:
             raise DomainError("inverse_table requires Phi(z) < 1; "
                               f"Phi({z:g}) rounds to 1")
-        zh1 = inverse.z1_schmeiser(p)
-        zh2 = inverse.z2_shore(p)
-        zh3 = inverse.z3_proposed(p)
+        zh1 = quantile_approx(1, p)
+        zh2 = quantile_approx(2, p)
+        zh3 = quantile_approx(3, p)
         rows.append(InverseRow(z=z, p=p, zhat1=zh1, zhat2=zh2, zhat3=zh3,
                                delta1=zh1 - z, delta2=zh2 - z, delta3=zh3 - z))
     return rows

@@ -23,10 +23,9 @@ import time
 import pytest
 
 from normapprox import (DEFAULT_PHI9, GRID_A, GRID_B,
-                        compute_error_report, eval_cdf_approx,
-                        eval_cdf_extended, inverse_table, oracle_cross_check,
-                        quantile_approx, ref_cdf, ref_quantile, reconcile_phi9,
-                        z3_proposed)
+                        compute_error_report, eval_cdf_extended,
+                        inverse_table, oracle_cross_check, quantile_approx,
+                        ref_cdf, ref_quantile, reconcile_phi9)
 from normapprox.cli import main
 from normapprox.reconcile import format_report
 from goldens import (PHI9_TARGET_ARGMAX, PHI9_TARGET_MAE, PHI9_TARGET_MXAE,
@@ -158,7 +157,7 @@ def test_c6_range_invariant(approx_id):
     sat = []
     for grid in grids:
         for z in grid.points():
-            v = eval_cdf_approx(approx_id, z)
+            v = eval_cdf_extended(approx_id, z)
             assert v > 0.0
             if not v < 1.0:
                 sat.append(z)
@@ -186,7 +185,7 @@ def test_c6_monotonicity_phi1_to_phi8():
     bad = []
     pts = GRID_B.points()
     for i in range(1, 9):
-        vals = [eval_cdf_approx(i, z) for z in pts]
+        vals = [eval_cdf_extended(i, z) for z in pts]
         if not all(b >= a for a, b in zip(vals, vals[1:])):
             bad.append(i)
     _report(f"C6 monotonicity phi1..phi8 on grid B: {'PASS' if not bad else 'FAIL'}")
@@ -203,7 +202,7 @@ def test_c6_z3_monotone_scan():
     prev = -1.0
     ok = True
     for i in range(5000):
-        v = z3_proposed(0.5 + i * 1e-4)
+        v = quantile_approx(3, 0.5 + i * 1e-4)
         if v < prev:
             ok = False
             break
@@ -216,7 +215,7 @@ def test_c6_delta3_band_on_0_2():
     worst, worst_z = 0.0, 0.0
     for i in range(0, 2001):
         z = i * 0.001
-        d = abs(z3_proposed(ref_cdf(z)) - z)
+        d = abs(quantile_approx(3, ref_cdf(z)) - z)
         if d > worst:
             worst, worst_z = d, z
     ok = worst <= 5e-4

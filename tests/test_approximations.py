@@ -8,12 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normapprox import (DEFAULT_PHI9, DomainError, GRID_A, GRID_B, GridSpec,
-                        Phi9Coefficients, eval_cdf_approx,
+                        Phi9Coefficients, compute_error_report, error_curve,
                         eval_cdf_extended, inverse_table, list_approximations,
                         phi9_error_reports, phi9_linear_coefficient,
-                        polya_cdf, ref_cdf,
-                        ref_quantile, z1_schmeiser)
-from normapprox.approximations import _horner
+                        polya_cdf, quantile_approx, ref_cdf, ref_quantile)
+from normapprox.approximations import _horner, descriptor
 from goldens import TABLE2
 
 ALL_IDS = range(1, 10)
@@ -46,41 +45,46 @@ def test_registry_metadata_matches_published_table():
 
 
 def test_logistic_saturation_tocher():
-    assert eval_cdf_approx(1, 8.0) > 0.9999
+    assert eval_cdf_extended(1, 8.0) > 0.9999
 
 
 def test_phi9_at_zero_is_exactly_half():
-    assert eval_cdf_approx(9, 0.0) == 0.5
+    assert eval_cdf_extended(9, 0.0) == 0.5
 
 
 def test_bowling_closed_form_at_one():
     # direct evaluation of the printed exponent 1.5976 z + 0.07056 z^3 at z=1
     expected = 1.0 / (1.0 + math.exp(-(1.5976 + 0.07056)))
-    assert eval_cdf_approx(6, 1.0) == expected
+    assert eval_cdf_extended(6, 1.0) == expected
 
 
 def test_tocher_grid_max_error():
     # published figure: 1.77e-2
     from normapprox import ref_cdf
-    worst = max(abs(eval_cdf_approx(1, z) - ref_cdf(z)) for z in GRID_A.points())
+    worst = max(abs(eval_cdf_extended(1, z) - ref_cdf(z)) for z in GRID_A.points())
     assert worst == pytest.approx(1.77e-2, rel=0.02)
 
 
 def test_vedder_grouping_reproduces_published_error():
     # the cubic-term grouping is validated by the published 3.14e-4
     from normapprox import ref_cdf
-    worst = max(abs(eval_cdf_approx(4, z) - ref_cdf(z)) for z in GRID_A.points())
+    worst = max(abs(eval_cdf_extended(4, z) - ref_cdf(z)) for z in GRID_A.points())
     assert worst == pytest.approx(3.14e-4, rel=0.02)
+
+
+def _direct(approx_id, z):
+    # the published logistic 1/(1 + e^(-y(z))) of the registry exponent
+    return 1.0 / (1.0 + math.exp(-descriptor(approx_id).y(z)))
 
 
 @pytest.mark.parametrize("approx_id", ALL_IDS)
 def test_extended_reflection_definition(approx_id):
-    assert eval_cdf_extended(approx_id, -1.0) == 1.0 - eval_cdf_approx(approx_id, 1.0)
+    assert eval_cdf_extended(approx_id, -1.0) == 1.0 - _direct(approx_id, 1.0)
 
 
 def test_extended_matches_direct_for_positive_z():
-    assert eval_cdf_extended(5, 0.4) == eval_cdf_approx(5, 0.4)
-    assert eval_cdf_extended(5, -0.4) == 1.0 - eval_cdf_approx(5, 0.4)
+    assert eval_cdf_extended(5, 0.4) == _direct(5, 0.4)
+    assert eval_cdf_extended(5, -0.4) == 1.0 - _direct(5, 0.4)
     assert eval_cdf_extended(9, 0.0) == 0.5
 
 
@@ -96,13 +100,13 @@ def test_reflection_identity_is_exact(approx_id, z):
 
 @pytest.mark.parametrize("approx_id", [1, 2, 3, 4, 5, 6, 8, 9])
 def test_odd_exponents_give_exact_half_at_zero(approx_id):
-    assert eval_cdf_approx(approx_id, 0.0) == 0.5
+    assert eval_cdf_extended(approx_id, 0.0) == 0.5
 
 
 def test_boiroju_rao_misses_half_at_zero():
     # the tanh offsets do not cancel at the origin: y7(0) ~ -7.2e-7, a
     # property of the published constants, not an implementation artifact
-    v = eval_cdf_approx(7, 0.0)
+    v = eval_cdf_extended(7, 0.0)
     assert v != 0.5
     assert v == pytest.approx(0.5, abs=2e-7)
 
@@ -142,16 +146,11 @@ def test_phi9_coefficient_rejects_non_finite(z):
 
 
 def test_extended_leaves_conversion_to_eval_cdf_approx():
-    # only compares and negates, so a string is a TypeError, as in
+    # compares the raw z first, so a string is a TypeError, as in
     # quantile_approx, and -0.0 goes to the direct form unchanged
     with pytest.raises(TypeError):
         eval_cdf_extended(1, "1.5")
-    assert eval_cdf_extended(1, -0.0) == eval_cdf_approx(1, -0.0) == 0.5
-
-
-def test_negative_z_rejected():
-    with pytest.raises(DomainError):
-        eval_cdf_approx(1, -0.1)
+    assert eval_cdf_extended(1, -0.0) == 0.5
 
 
 def test_negative_z_error_names_symmetric_domain():
@@ -160,12 +159,11 @@ def test_negative_z_error_names_symmetric_domain():
 
 
 @pytest.mark.parametrize("fn", [
-    partial(eval_cdf_approx, 1), partial(eval_cdf_extended, 1), ref_cdf,
-    ref_quantile, z1_schmeiser, polya_cdf, lambda z: inverse_table([z]),
+    partial(eval_cdf_extended, 1), ref_cdf, ref_quantile,
+    partial(quantile_approx, 1), polya_cdf, lambda z: inverse_table([z]),
     lambda z: GridSpec(0.0, z, 1.0), phi9_linear_coefficient],
-    ids=["eval_cdf_approx", "eval_cdf_extended", "ref_cdf", "ref_quantile",
-         "z1_schmeiser", "polya_cdf", "inverse_table", "GridSpec",
-         "phi9_linear_coefficient"])
+    ids=["eval_cdf_extended", "ref_cdf", "ref_quantile", "quantile_approx",
+         "polya_cdf", "inverse_table", "GridSpec", "phi9_linear_coefficient"])
 @pytest.mark.parametrize("x", [10**400, -10**400], ids=["+10**400", "-10**400"])
 def test_integer_beyond_double_range_is_domain_error(fn, x):
     with pytest.raises(DomainError):
@@ -174,14 +172,21 @@ def test_integer_beyond_double_range_is_domain_error(fn, x):
 
 def test_lin_domain_edge_is_hard_error():
     with pytest.raises(DomainError):
-        eval_cdf_approx(2, 9.0)
-    assert eval_cdf_approx(2, 8.999) > 0.999
+        eval_cdf_extended(2, 9.0)
+    assert eval_cdf_extended(2, 8.999) > 0.999
 
 
-@pytest.mark.parametrize("bad_id", [0, 10, -3])
+# True, 1.0, 3+0j and 9.0 hash and compare equal to a known id, but are not
+# ints; 9.0 also equals compute_error_report's phi9 branch, taken after lookup
+@pytest.mark.parametrize("bad_id", [0, 10, -3, True, 1.0, 3 + 0j, 9.0])
 def test_unknown_id_rejected(bad_id):
-    with pytest.raises(DomainError):
-        eval_cdf_approx(bad_id, 1.0)
+    for call in (partial(eval_cdf_extended, bad_id, 1.0), partial(descriptor, bad_id),
+                 partial(compute_error_report, bad_id, GRID_A),
+                 partial(error_curve, bad_id, GRID_A)):
+        with pytest.raises(DomainError, match="unknown approximation id"):
+            call()
+    with pytest.raises(DomainError, match="unknown quantile approximation id"):
+        quantile_approx(bad_id, 0.7)
 
 
 def test_coefficients_require_17_entries():
@@ -199,14 +204,14 @@ def test_coefficients_store_a_tuple_of_floats():
 
 @pytest.mark.parametrize("approx_id", range(1, 9))
 def test_range_and_monotonicity_grid_b(approx_id):
-    vals = [eval_cdf_approx(approx_id, z) for z in GRID_B.points()]
+    vals = [eval_cdf_extended(approx_id, z) for z in GRID_B.points()]
     assert all(0.0 < v < 1.0 for v in vals)
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
 def test_phi9_monotone_on_fine_grid_to_four():
     pts = GridSpec(0.0, 4.0, 0.001).points()
-    vals = [eval_cdf_approx(9, z) for z in pts]
+    vals = [eval_cdf_extended(9, z) for z in pts]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
@@ -214,7 +219,7 @@ def test_phi9_saturates_beyond_three_and_a_quarter():
     # the shipped coefficient variant drives the exponent past the point
     # where 1 + e^-y rounds to 1, so the strict upper bound 1 is reached;
     # the strict open-range assertion is tracked in the acceptance suite
-    vals = [eval_cdf_approx(9, z) for z in GRID_A.points()]
+    vals = [eval_cdf_extended(9, z) for z in GRID_A.points()]
     assert all(0.0 < v <= 1.0 for v in vals)
     assert min(vals) == 0.5
     first_saturated = next(z for z, v in zip(GRID_A.points(), vals) if v == 1.0)
@@ -232,7 +237,7 @@ def _domain_scan(d):
 
 @pytest.mark.parametrize("d", list_approximations(), ids=lambda d: f"phi{d.index}")
 def test_monotone_and_in_range_over_whole_domain(d):
-    vals = [eval_cdf_approx(d.index, z) for z in _domain_scan(d)]
+    vals = [eval_cdf_extended(d.index, z) for z in _domain_scan(d)]
     assert all(0.0 < v <= 1.0 for v in vals)
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 

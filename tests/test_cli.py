@@ -306,6 +306,15 @@ def test_eval_domain_error_exit_2(capsys):
     assert run(capsys, "eval", "--approx", "2", "9.5")[0] == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "--", "nan"], "eval_cdf_extended requires a finite abscissa"),
+    (["eval", "--", "-inf"], "eval_cdf_extended requires a finite abscissa"),
+    (["eval", "--approx", "2", "--", "-9.5"], "Lin (1990) holds only for |z| < 9"),
+])
+def test_eval_domain_error_names_the_called_function_or_the_form(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("approx", ["4", "6", "7"])
 def test_eval_saturates_where_the_exponent_overflows(capsys, approx):
     code, out, _ = run(capsys, "eval", "--approx", approx, "--format", "csv",

@@ -2,33 +2,33 @@
 
 import math
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normapprox import (DomainError, d1_poly, polya_cdf, quantile_approx,
-                        ref_cdf, z1_schmeiser, z2_shore, z3_proposed)
+from normapprox import DomainError, d1_poly, polya_cdf, quantile_approx, ref_cdf
 
 
-@pytest.mark.parametrize("fn", [z1_schmeiser, z2_shore, z3_proposed])
-def test_median_maps_to_zero(fn):
-    assert fn(0.5) == 0.0
+@pytest.mark.parametrize("approx_id", [1, 2, 3])
+def test_median_maps_to_zero(approx_id):
+    assert quantile_approx(approx_id, 0.5) == 0.0
 
 
 def test_schmeiser_published_values():
-    assert z1_schmeiser(ref_cdf(0.4)) == pytest.approx(0.3976, abs=1.001e-4)
-    assert z1_schmeiser(ref_cdf(4.8)) == pytest.approx(4.3032, abs=1.001e-4)
+    assert quantile_approx(1, ref_cdf(0.4)) == pytest.approx(0.3976, abs=1.001e-4)
+    assert quantile_approx(1, ref_cdf(4.8)) == pytest.approx(4.3032, abs=1.001e-4)
 
 
 def test_shore_published_values():
-    assert z2_shore(ref_cdf(0.4)) == pytest.approx(0.4084, abs=1.001e-4)
-    assert z2_shore(ref_cdf(3.2)) == pytest.approx(3.2109, abs=1.001e-4)
+    assert quantile_approx(2, ref_cdf(0.4)) == pytest.approx(0.4084, abs=1.001e-4)
+    assert quantile_approx(2, ref_cdf(3.2)) == pytest.approx(3.2109, abs=1.001e-4)
 
 
 def test_proposed_published_values():
-    assert z3_proposed(ref_cdf(0.8)) == pytest.approx(0.8000, abs=1.001e-4)
-    assert z3_proposed(ref_cdf(4.8)) == pytest.approx(4.5997, abs=1.001e-4)
+    assert quantile_approx(3, ref_cdf(0.8)) == pytest.approx(0.8000, abs=1.001e-4)
+    assert quantile_approx(3, ref_cdf(4.8)) == pytest.approx(4.5997, abs=1.001e-4)
 
 
 def test_d1_at_half_direct_arithmetic():
@@ -58,7 +58,7 @@ def test_d1_positive_dense_scan():
 def test_z3_nondecreasing_scan():
     prev = -1.0
     for i in range(5000):
-        v = z3_proposed(0.5 + i * 1e-4)
+        v = quantile_approx(3, 0.5 + i * 1e-4)
         assert v >= prev
         prev = v
 
@@ -66,7 +66,7 @@ def test_z3_nondecreasing_scan():
 def test_z3_large_z_degradation_is_expected():
     # published last-row difference ~ -0.20026; large-z inaccuracy is a
     # property of the form, not a bug
-    delta = z3_proposed(ref_cdf(4.8)) - 4.8
+    delta = quantile_approx(3, ref_cdf(4.8)) - 4.8
     assert abs(abs(delta) - 0.20026) < 1e-4
 
 
@@ -76,13 +76,13 @@ def test_z3_accuracy_band_holds_to_1_8():
     # on [0, 1.8]
     for i in range(0, 1801, 4):
         z = i * 0.001
-        assert abs(z3_proposed(ref_cdf(z)) - z) <= 5e-4
+        assert abs(quantile_approx(3, ref_cdf(z)) - z) <= 5e-4
 
 
 def test_z3_error_at_two_regression():
     # pinned so any formula change is caught; this is the value that breaks
     # the published (0,2] band
-    delta = z3_proposed(ref_cdf(2.0)) - 2.0
+    delta = quantile_approx(3, ref_cdf(2.0)) - 2.0
     assert delta == pytest.approx(-0.0024841761530312034, abs=1e-12)
 
 
@@ -111,8 +111,8 @@ def test_dispatch_matches_direct():
 
 
 def test_dispatch_reflects_small_p():
-    assert quantile_approx(3, 0.3) == -z3_proposed(1.0 - 0.3)
-    assert quantile_approx(1, 1e-3) == -z1_schmeiser(1.0 - 1e-3)
+    assert quantile_approx(3, 0.3) == -quantile_approx(3, 1.0 - 0.3)
+    assert quantile_approx(1, 1e-3) == -quantile_approx(1, 1.0 - 1e-3)
 
 
 @pytest.mark.parametrize("approx_id", [1, 2, 3])
@@ -129,12 +129,21 @@ def test_dispatch_domain_is_open_unit_interval(bad):
         quantile_approx(2, bad)
 
 
+@pytest.mark.parametrize("p", [Decimal("0.99999999999999999999"),
+                               Fraction(10**20 - 1, 10**20)])
+def test_dispatch_names_the_rounding_of_p_just_below_one(p):
+    # p < 1, but its double is 1.0, where no form is defined
+    with pytest.raises(DomainError, match="0 < p < 1, and p = .* is too close to 1: "
+                                          "it rounds to 1"):
+        quantile_approx(1, p)
+
+
 def test_dispatch_rejects_unknown_id():
     with pytest.raises(DomainError):
         quantile_approx(4, 0.7)
 
 
-@pytest.mark.parametrize("fn", [z1_schmeiser, z2_shore, d1_poly, z3_proposed])
+@pytest.mark.parametrize("fn", [d1_poly])
 @pytest.mark.parametrize("bad", [0.49, 1.0, 1.5, -0.1, math.nan])
 def test_domain_rejections(fn, bad):
     with pytest.raises(DomainError):

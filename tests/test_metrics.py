@@ -6,7 +6,7 @@ import pytest
 
 from normapprox import (DEFAULT_PHI9, PHI9_VARIANTS, DomainError, GRID_A, GRID_B,
                         GridSpec, Phi9Coefficients, compute_error_report,
-                        error_curve, eval_cdf_approx, inverse_table,
+                        error_curve, eval_cdf_extended, inverse_table,
                         list_approximations, phi9_error_reports,
                         phi9_linear_coefficient, reconcile_phi9, ref_cdf)
 from normapprox import cli, metrics
@@ -136,9 +136,9 @@ def test_coefficients_rejected_for_other_forms():
     if spec.start + (spec.count - 1) * spec.step < d.domain_max])
 def test_error_curve_equals_pointwise_evaluation(approx_id, spec):
     pts = spec.points()
-    diffs = [eval_cdf_approx(approx_id, z) - ref_cdf(z) for z in pts]
+    diffs = [eval_cdf_extended(approx_id, z) - ref_cdf(z) for z in pts]
     assert error_curve(approx_id, spec) == list(zip(pts, diffs))
-    # compute_error_report skips eval_cdf_approx's checks but not its arithmetic
+    # compute_error_report skips eval_cdf_extended's checks but not its arithmetic
     _assert_first_of_ties_reduction(compute_error_report(approx_id, spec), pts,
                                     [abs(d) for d in diffs])
 

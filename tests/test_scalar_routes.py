@@ -1,12 +1,13 @@
-"""The one-frame scalar entry points against the composed public routes.
+"""The one-frame scalar entry points against test-local composed routes.
 
-``eval_cdf_extended`` is the one scalar CDF kernel and ``quantile_approx``
-dispatches to unchecked quantile kernels.  Each must give, bit for bit and
-error for error, what the composition of the checked public forms gives:
-``eval_cdf_approx`` with the reflection Phi(z) = 1 - Phi(-z), and
-``z1_schmeiser``/``z2_shore``/``z3_proposed`` with z(p) = -z(1-p).  A frame
-count then keeps each entry point one Python frame in front of its
-arithmetic.
+``eval_cdf_extended`` is the one scalar CDF entry point and
+``quantile_approx`` the one scalar quantile entry point.  Each must give, bit
+for bit and error for error, what a composition written out here gives: the
+form checked and evaluated on the half domain where the paper defines it (the
+registry exponent and the logistic for z >= 0; a private kernel of
+``inverse`` for 0.5 <= p < 1), then the reflection Phi(z) = 1 - Phi(-z) or
+z(p) = -z(1-p).  A frame count then keeps each entry point one Python frame
+in front of its arithmetic.
 """
 
 import math
@@ -19,10 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normapprox import (DomainError, eval_cdf_approx, eval_cdf_extended,
-                        list_approximations, quantile_approx, ref_quantile,
-                        z1_schmeiser, z2_shore, z3_proposed)
+from normapprox import (DomainError, eval_cdf_extended, list_approximations,
+                        quantile_approx, ref_quantile)
 from normapprox.errors import to_float
+from normapprox.inverse import _z1, _z2, _z3
 
 _DOMAIN_EDGES = sorted({d.domain_max for d in list_approximations()} - {math.inf})
 EDGES = [0.0, -0.0, math.nan, math.inf, -math.inf, 10**400, -10**400,
@@ -30,7 +31,7 @@ EDGES = [0.0, -0.0, math.nan, math.inf, -math.inf, 10**400, -10**400,
          0.3, 0.7, -0.7, 40.0, -40.0, 1e300, -1e300, 5e-324,
          Decimal("0.99999999999999999999"), Fraction(1, 3), Fraction(-7, 3)]
 EDGES += _DOMAIN_EDGES + [-m for m in _DOMAIN_EDGES]
-IDS = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, None]
+IDS = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, None, True, 1.0, 3 + 0j]
 _ARGS = st.one_of(st.floats(), st.integers(), st.fractions(), st.decimals(),
                   st.sampled_from(EDGES))
 
@@ -43,21 +44,46 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+_ROWS = {d.index: d for d in list_approximations()}
+
+
+def _direct_cdf(approx_id, z):
+    # the form on z >= 0, once the caller has compared z with 0
+    z = to_float(z)
+    if type(approx_id) is not int or approx_id not in _ROWS:
+        raise DomainError(f"unknown approximation id {approx_id!r}")
+    d = _ROWS[approx_id]
+    if not math.isfinite(z):
+        raise DomainError("eval_cdf_extended requires a finite abscissa")
+    if not 0.0 <= z < d.domain_max:
+        raise DomainError(f"{d.name} holds only for |z| < {d.domain_max:g}")
+    try:
+        y = d.y(z)
+    except OverflowError:
+        y = math.inf
+    if y >= 0.0:
+        return 1.0 / (1.0 + math.exp(-y))
+    return math.exp(y) / (1.0 + math.exp(y))
+
+
 def _composed_cdf(approx_id, z):
     if z >= 0.0:
-        return eval_cdf_approx(approx_id, z)
-    return 1.0 - eval_cdf_approx(approx_id, -z)
+        return _direct_cdf(approx_id, z)
+    return 1.0 - _direct_cdf(approx_id, -z)
 
 
-_FORMS = {1: z1_schmeiser, 2: z2_shore, 3: z3_proposed}
+_FORMS = {1: _z1, 2: _z2, 3: _z3}
 
 
 def _composed_quantile(approx_id, p):
-    fn = _FORMS.get(approx_id)
-    if fn is None:
+    if type(approx_id) is not int or approx_id not in _FORMS:
         raise DomainError(f"unknown quantile approximation id {approx_id!r}")
+    fn = _FORMS[approx_id]
     if 0.5 <= p < 1.0:
-        return fn(p)
+        if to_float(p) == 1.0:
+            raise DomainError(f"quantile_approx requires 0 < p < 1, and p = {p!r} "
+                              "is too close to 1: it rounds to 1")
+        return fn(to_float(p))
     if not 0.0 < p < 0.5:
         raise DomainError("quantile_approx requires 0 < p < 1")
     q = 1.0 - to_float(p)

@@ -27,6 +27,9 @@ _BENCH_MIN_EVALS = 1_000_000
 _BENCH_MAX_EVALS = 10_000_000  # ten times the minimum: over a minute per run
 _WARMUP_EVALS = 20_000
 _FIG2_GRID = GridSpec(0.0, 4.8, 0.01)
+# rows table34 and curves print, one per grid point: far fewer than
+# MAX_GRID_POINTS, because a JSON row peaks at about 1 KB (curves) to 5 KB (table34)
+_MAX_TABLE_ROWS = 50_000
 
 
 def _grid_meta(spec: GridSpec) -> dict:
@@ -34,8 +37,17 @@ def _grid_meta(spec: GridSpec) -> dict:
                      "step": spec.step, "count": spec.count}}
 
 
+def _table_grid(args) -> GridSpec:
+    """The grid of a command that prints a row per point, within _MAX_TABLE_ROWS."""
+    spec = GridSpec(args.grid_start, args.grid_stop, args.grid_step)
+    if spec.count > _MAX_TABLE_ROWS:
+        raise DomainError(f"{args.command} prints at most {_MAX_TABLE_ROWS:,} rows, "
+                          f"one per grid point; this grid has {spec.count:,}")
+    return spec
+
+
 def _render(fmt, command, meta, headers, rows, sections=None) -> str:
-    """csv, JSON with ``meta``, or markdown tables: ``sections`` or one untitled."""
+    """csv, JSON with ``meta``, or markdown: a table per ``(title, columns)`` section."""
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -54,16 +66,17 @@ def _render(fmt, command, meta, headers, rows, sections=None) -> str:
         except ValueError as exc:  # NaN or an infinity, which JSON cannot hold
             raise DomainError(f"cannot render {command} as JSON: {exc}") from None
     parts = []
-    for title, headers, rows in sections or [("", headers, rows)]:
+    for title, columns in sections or [("", headers)]:
+        picks = [headers.index(c) for c in columns]
         lines = []
         if title:
             lines.append(f"### {title}")
             lines.append("")
-        lines.append("| " + " | ".join(headers) + " |")
-        lines.append("|" + "|".join(" --- " for _ in headers) + "|")
+        lines.append("| " + " | ".join(columns) + " |")
+        lines.append("|" + "|".join(" --- " for _ in columns) + "|")
         for row in rows:
             # str(float) is repr(float): the shortest round-trip decimal form
-            lines.append("| " + " | ".join(map(str, row)) + " |")
+            lines.append("| " + " | ".join(str(row[i]) for i in picks) + " |")
         parts.append("\n".join(lines))
     return "\n\n".join(parts) + "\n"
 
@@ -89,11 +102,11 @@ def cmd_table2(args) -> int:
         rows.append([f"phi{d.index}", d.name, f"{rep.mxae:.2e}", f"{rep.mae:.2e}",
                      rep.mxae, rep.mae, rep.mxae_location])
     return _emit(args, "table2", _grid_meta(spec), headers, rows,
-                 [("accuracy summary (MXAE / MAE)", headers, rows)])
+                 [("accuracy summary (MXAE / MAE)", headers)])
 
 
 def cmd_table34(args) -> int:
-    spec = GridSpec(args.grid_start, args.grid_stop, args.grid_step)
+    spec = _table_grid(args)
     data = inverse_table(spec.points())
     headers = ["z", "p", "zhat1", "zhat2", "zhat3",
                "delta1", "delta2", "delta3",
@@ -106,17 +119,15 @@ def cmd_table34(args) -> int:
                      f"{r.delta1:.5f}", f"{r.delta2:.5f}", f"{r.delta3:.5f}",
                      r.p, r.zhat1, r.zhat2, r.zhat3,
                      r.delta1, r.delta2, r.delta3])
-    approx_rows = [row[0:5] for row in rows]
-    delta_rows = [[row[0], row[1], row[5], row[6], row[7]] for row in rows]
     sections = [
-        ("quantile approximations", ["z", "p", "zhat1", "zhat2", "zhat3"], approx_rows),
-        ("signed differences (zhat - z)", ["z", "p", "delta1", "delta2", "delta3"], delta_rows),
+        ("quantile approximations", ["z", "p", "zhat1", "zhat2", "zhat3"]),
+        ("signed differences (zhat - z)", ["z", "p", "delta1", "delta2", "delta3"]),
     ]
     return _emit(args, "table34", _grid_meta(spec), headers, rows, sections)
 
 
 def cmd_curves(args) -> int:
-    spec = GridSpec(args.grid_start, args.grid_stop, args.grid_step)
+    spec = _table_grid(args)
     fig1_rows = error_curve(args.approx, spec)
     # the (p, delta3) columns of inverse_table, without computing the others
     fig2_rows = []
@@ -136,7 +147,7 @@ def cmd_curves(args) -> int:
     for i, (path, command, grid, headers, rows, title) in enumerate(figures):
         try:
             _emit(args, command, _grid_meta(grid), headers, rows,
-                  [(title, headers, rows)], path)
+                  [(title, headers)], path)
         except OSError:
             for written, *_ in figures[:i]:  # leave no partial figure set
                 written.unlink(missing_ok=True)
@@ -176,7 +187,7 @@ def cmd_bench(args) -> int:
              f"{wall / args.evals * 1e9:.1f}", wall, wall / args.evals]
             for subject, wall in run_bench(args.evals)]
     return _emit(args, "bench", {"evaluations": args.evals},
-                 headers, rows, [("evaluation throughput", headers, rows)])
+                 headers, rows, [("evaluation throughput", headers)])
 
 
 def cmd_reconcile(args) -> int:

@@ -41,9 +41,9 @@ def _z3(p: float) -> float:
 def d1_poly(p: float) -> float:
     """The degree-8 correction polynomial in p (even powers only above p^2,
     exactly as published); positive on [0.5, 1)."""
-    p = to_float(p)
-    if not 0.5 <= p < 1.0:
-        raise DomainError("d1_poly requires 0.5 <= p < 1")
+    p = to_float(p)  # a str p is accepted too
+    if not 0.5 <= p < 1.0:  # a p just below 1 may have rounded to 1.0
+        raise DomainError(f"d1_poly requires 0.5 <= p < 1, and p as a double is {p!r}")
     return _d1(p)
 
 

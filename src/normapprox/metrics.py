@@ -6,8 +6,8 @@ and its abscissae, oracle values and phi9 reports are cached together.
 ``compute_error_report`` and ``phi9_error_reports``, the hot paths, are then
 the loops that skip the per-point checks: they evaluate the exponent and
 logistic directly, with the same arithmetic as ``eval_cdf_extended``.
-``phi9_error_reports`` is the one phi9 grid kernel: it scores any number of
-coefficient readings in one pass, and ``compute_error_report`` scores phi9
+``phi9_error_reports`` is the one phi9 grid kernel: one grid pass per group
+of readings that share k9..k17, and ``compute_error_report`` scores phi9
 through it with DEFAULT_PHI9.  A reading is scored at most once per cached
 grid, so ``table2`` and ``reconcile`` share the default reading's report.
 ``error_curve`` goes through ``eval_cdf_extended`` point by point.
@@ -152,12 +152,12 @@ def phi9_error_reports(spec: GridSpec, readings) -> tuple[ErrorReport, ...]:
     """One report per phi9 coefficient reading, in order.
 
     Readings are keyed by ``k``.  One already scored on ``spec`` returns its
-    cached report, the same object; the rest are scored together in one pass
-    over ``spec``, and kept while the grid holds fewer than
+    cached report, the same object; the rest take one pass over ``spec`` per
+    group that shares k9..k17, and are kept while the grid holds fewer than
     _MAX_CACHED_REPORTS, so a loop over many readings cannot grow the cache.
 
-    Per point, Horner's first nine steps (k17 down to k9) run once for each
-    distinct ``k[8:]``; each reading then runs its last eight steps, the
+    A group's pass runs Horner's first nine steps (k17 down to k9) once per
+    point; each reading of the group then runs its last eight steps, the
     ``* z`` and the logistic.  Every operation is the one ``_horner`` and
     ``eval_cdf_extended`` make, in their order, so each report is bit-identical
     to scoring that reading alone.  Finite coefficients on a finite grid keep
@@ -172,10 +172,9 @@ def phi9_error_reports(spec: GridSpec, readings) -> tuple[ErrorReport, ...]:
     by_high = {}
     for k, err in errs.items():
         by_high.setdefault(k[8:], []).append((err.append, *k[:8]))
-    groups = [(*high, lows) for high, lows in by_high.items()]
     exp = math.exp
-    for z, ref in zip(pts, refs) if groups else ():  # no pass if all cached
-        for k9, k10, k11, k12, k13, k14, k15, k16, k17, lows in groups:
+    for (k9, k10, k11, k12, k13, k14, k15, k16, k17), lows in by_high.items():
+        for z, ref in zip(pts, refs):
             h = ((((((((k17 * z + k16) * z + k15) * z + k14) * z + k13) * z
                     + k12) * z + k11) * z + k10) * z + k9)
             for append, k1, k2, k3, k4, k5, k6, k7, k8 in lows:
@@ -188,15 +187,14 @@ def phi9_error_reports(spec: GridSpec, readings) -> tuple[ErrorReport, ...]:
                     e = exp(t)
                     a = e / (1.0 + e)
                 append(abs(a - ref))
-    fresh = {}
     for k, err in errs.items():
         mxae = max(err)
-        fresh[k] = ErrorReport(grid=spec, mxae=mxae,
-                               mxae_location=pts[err.index(mxae)],
-                               mae=math.fsum(err) / len(err))
+        errs[k] = ErrorReport(grid=spec, mxae=mxae,
+                              mxae_location=pts[err.index(mxae)],
+                              mae=math.fsum(err) / len(err))
         if len(reports) < _MAX_CACHED_REPORTS:
-            reports[k] = fresh[k]
-    return tuple(reports.get(r.k) or fresh[r.k] for r in readings)
+            reports[k] = errs[k]
+    return tuple(reports.get(r.k) or errs[r.k] for r in readings)
 
 
 def error_curve(approx_id: int, spec: GridSpec) -> list[tuple[float, float]]:

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import normapprox
 from normapprox import (GRID_A, GRID_B, DomainError, ErrorReport, GridSpec,
                         compute_error_report, inverse_table, quantile_approx)
+from normapprox import cli
 from normapprox.cli import build_parser, main
 
 
@@ -127,6 +128,22 @@ def test_table34_markdown_sections(capsys):
     assert any("1.1989" in ln for ln in body)
 
 
+@pytest.mark.parametrize("command", ["table34", "curves"])
+def test_row_bound_exits_2_before_any_output(tmp_path, capsys, monkeypatch, command):
+    # the bound is lowered so the over-bound grid stays small
+    monkeypatch.setattr(cli, "_MAX_TABLE_ROWS", 10)
+    out_path = tmp_path / "out"
+    code, out, err = run(capsys, command, "--grid-stop", "1.0", "--grid-step", "0.1",
+                         "--format", "json", "--output", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: {command} prints at most 10 rows, one per grid point; "
+                   "this grid has 11\n")
+    assert not out_path.exists()
+    assert run(capsys, command, "--grid-stop", "0.9", "--grid-step", "0.1",
+               "--output", str(out_path))[0] == 0
+
+
 def test_table34_grid_override(capsys):
     code, out, _ = run(capsys, "table34", "--grid-stop", "2.0", "--grid-step", "0.5",
                        "--format", "json")
@@ -167,6 +184,7 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
     (["curves", "--approx", "4", "--format", "csv"], "figure1_phi4.csv"),
     (["curves", "--approx", "9", "--format", "csv"], "figure2_delta3.csv"),
     (["table2", "--format", "json"], "table2.json"),
+    (["table34", "--format", "json"], "table34.json"),
     (["table34"], "table34.md"),
     (["curves", "--approx", "9", "--format", "markdown"], "figure1_phi9.md"),
     (["curves", "--approx", "9", "--format", "markdown"], "figure2_delta3.md"),
@@ -174,8 +192,8 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
     (["invert", "--inverse", "3", "0.025", "0.5", "0.975"], "invert.md"),
 ], ids=["table2", "table2-markdown", "table34", "reconcile", "reconcile-grid-a",
         "curves-phi9", "curves-phi4", "curves-figure2", "table2-json",
-        "table34-markdown", "curves-phi9-markdown", "curves-figure2-markdown",
-        "eval-json", "invert-markdown"])
+        "table34-json", "table34-markdown", "curves-phi9-markdown",
+        "curves-figure2-markdown", "eval-json", "invert-markdown"])
 def test_artefacts_match_golden_bytes(tmp_path, capsys, argv, golden):
     """Each published artefact, byte for byte, including the ``*_full`` columns.
 
@@ -190,8 +208,10 @@ def test_artefacts_match_golden_bytes(tmp_path, capsys, argv, golden):
     N = 9 and 4 (each also writes the same figure2_delta3.csv).  The files
     that pin the other renderer branches come from ``normapprox table2
     --format json --output tests/golden/table2.json`` (JSON with grid meta),
-    ``normapprox table34 --output tests/golden/table34.md`` (two titled
-    markdown sections), ``normapprox curves --approx 9 --format markdown
+    ``normapprox table34 --format json --output tests/golden/table34.json``
+    (JSON of the rows the markdown splits into sections), ``normapprox
+    table34 --output tests/golden/table34.md`` (two titled markdown
+    sections), ``normapprox curves --approx 9 --format markdown
     --output tests/golden`` (figure1_phi9.md and figure2_delta3.md),
     ``normapprox eval --approx 9 --format json 0.5 1.25 3 --output
     tests/golden/eval.json`` (JSON with meta that is not a grid) and

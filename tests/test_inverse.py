@@ -1,6 +1,7 @@
 """Quantile approximation tests: published columns, shape, domains."""
 
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -144,7 +145,11 @@ def test_dispatch_rejects_unknown_id():
 
 
 @pytest.mark.parametrize("fn", [d1_poly])
-@pytest.mark.parametrize("bad", [0.49, 1.0, 1.5, -0.1, math.nan])
+@pytest.mark.parametrize("bad", [0.49, 1.0, 1.5, -0.1, math.nan,
+                                 # below 1, but the double of each is 1.0
+                                 Decimal("0.99999999999999999999"),
+                                 Fraction(10**20 - 1, 10**20)])
 def test_domain_rejections(fn, bad):
-    with pytest.raises(DomainError):
+    # the message names the double p became, not only the domain
+    with pytest.raises(DomainError, match=re.escape(f"as a double is {float(bad)!r}")):
         fn(bad)

@@ -10,8 +10,7 @@ from .metrics import (DEFAULT_INVERSE_GRID, GRID_A, GRID_B, ErrorReport,
                       GridSpec, InverseRow, compute_error_report,
                       error_curve, inverse_table, phi9_error_reports)
 from .reconcile import ReconciliationReport, reconcile_phi9
-from .reference import (oracle_cross_check, quadrature_cdf, ref_cdf,
-                        ref_quantile)
+from .reference import ref_cdf, ref_quantile
 
 __version__ = "0.1.0"
 
@@ -34,11 +33,9 @@ __all__ = [
     "eval_cdf_extended",
     "inverse_table",
     "list_approximations",
-    "oracle_cross_check",
     "phi9_error_reports",
     "phi9_linear_coefficient",
     "polya_cdf",
-    "quadrature_cdf",
     "quantile_approx",
     "reconcile_phi9",
     "ref_cdf",

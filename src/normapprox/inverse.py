@@ -52,7 +52,7 @@ def polya_cdf(z: float) -> float:
     that seeds quantile form 3; z >= 0."""
     z = to_float(z)
     if not math.isfinite(z) or z < 0.0:
-        raise DomainError("polya_cdf requires z >= 0")
+        raise DomainError(f"polya_cdf requires a finite z >= 0, and z as a double is {z!r}")
     return 0.5 * (1.0 + math.sqrt(1.0 - math.exp(-(2.0 / math.pi) * z * z)))
 
 

@@ -219,7 +219,8 @@ def inverse_table(z_values=None) -> list[InverseRow]:
     for z in z_values:
         z = to_float(z)
         if not math.isfinite(z) or z < 0.0:
-            raise DomainError("inverse_table requires z >= 0")
+            raise DomainError("inverse_table requires a finite z >= 0, "
+                              f"and z as a double is {z!r}")
         p = ref_cdf(z)
         if p == 1.0:
             raise DomainError("inverse_table requires Phi(z) < 1; "

@@ -24,12 +24,13 @@ import pytest
 
 from normapprox import (DEFAULT_PHI9, GRID_A, GRID_B,
                         compute_error_report, eval_cdf_extended,
-                        inverse_table, oracle_cross_check, quantile_approx,
-                        ref_cdf, ref_quantile, reconcile_phi9)
+                        inverse_table, quantile_approx, ref_cdf, ref_quantile,
+                        reconcile_phi9)
 from normapprox.cli import main
 from normapprox.reconcile import format_report
 from goldens import (PHI9_TARGET_ARGMAX, PHI9_TARGET_MAE, PHI9_TARGET_MXAE,
                      TABLE2, TABLE3, TABLE4)
+from quadrature import oracle_cross_check
 
 
 def _report(line):

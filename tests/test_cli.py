@@ -305,6 +305,18 @@ def test_reconcile_writes_report(tmp_path, capsys):
     assert "selected" in text
 
 
+def test_reconcile_defaults_to_a_report_in_the_working_directory(tmp_path, capsys,
+                                                                monkeypatch):
+    grid = ["--grid-stop", "1", "--grid-step", "0.1"]
+    explicit = tmp_path / "explicit.txt"
+    assert run(capsys, "reconcile", *grid, "--output", str(explicit))[0] == 0
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "reconcile", *grid)
+    assert code == 0
+    assert out.endswith("report written to phi9_reconciliation.txt\n")
+    assert (tmp_path / "phi9_reconciliation.txt").read_bytes() == explicit.read_bytes()
+
+
 def test_reconcile_unwritable_path_is_io_error(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("plain file")
@@ -430,7 +442,7 @@ def test_missing_subcommand_exit_2(capsys):
 
 
 def test_cli_commands_leave_scipy_unimported(tmp_path):
-    # scipy serves only the quadrature cross-check and costs most of a fresh
+    # scipy is a test dependency only and would cost most of a fresh
     # process's start-up, so neither the package nor any command may load it
     # (bench is left out: it needs a million evaluations per subject)
     argvs = [["table2", "--grid-stop", "1", "--grid-step", "0.1"],
@@ -459,3 +471,19 @@ def test_cli_commands_leave_scipy_unimported(tmp_path):
     codes, scipy_modules = json.loads(done.stdout.splitlines()[-1])
     assert codes == [0] * len(argvs)
     assert scipy_modules == []
+
+
+@pytest.mark.parametrize("argv, code, stderr", [
+    (["eval", "0"], 0, ""),
+    (["eval", "--", "nan"], 2, "error: eval_cdf_extended requires a finite abscissa\n"),
+], ids=["eval-0", "eval-nan"])
+def test_module_entry_point_returns_mains_exit_code(capsys, argv, code, stderr):
+    # python -m normapprox.cli must exit with main's code and print what main prints
+    src = os.path.dirname(os.path.dirname(normapprox.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-m", "normapprox.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv)
+    assert (done.returncode, done.stderr) == (code, stderr)
+    assert (done.stdout == "") == (code != 0)

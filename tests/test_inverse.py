@@ -101,8 +101,12 @@ def test_polya_saturates():
 
 
 def test_polya_rejects_negative():
-    with pytest.raises(DomainError):
-        polya_cdf(-0.5)
+    # the message names the double z became, not only the domain
+    for bad, double in [(-0.5, "-0.5"), (math.inf, "inf"), (math.nan, "nan"),
+                        (10**400, "inf")]:
+        with pytest.raises(DomainError, match=re.escape(
+                f"polya_cdf requires a finite z >= 0, and z as a double is {double}")):
+            polya_cdf(bad)
 
 
 def test_dispatch_matches_direct():

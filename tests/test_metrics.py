@@ -270,10 +270,12 @@ def test_inverse_table_p_full_precision():
 
 
 @pytest.mark.parametrize("z, match", [
-    (-0.4, "z >= 0"),
+    (-0.4, r"inverse_table requires a finite z >= 0, and z as a double is -0\.4$"),
+    (math.inf, "inverse_table requires a finite z >= 0, and z as a double is inf$"),
+    (math.nan, "inverse_table requires a finite z >= 0, and z as a double is nan$"),
     # Phi(z) rounds to 1 from z = 8.29236 on, where no quantile exists
     (8.3, r"Phi\(8\.3\) rounds to 1"),
-], ids=["negative", "phi-rounds-to-1"])
+], ids=["negative", "inf", "nan", "phi-rounds-to-1"])
 def test_inverse_table_rejects_negative(z, match):
     with pytest.raises(DomainError, match=match):
         inverse_table([z])

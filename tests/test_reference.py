@@ -1,9 +1,14 @@
 """Oracle tests: dual-method agreement, symmetry, tails, quantile behaviour."""
 
+import ast
 import math
 import os
+import pathlib
+import re
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from statistics import NormalDist
 
 import mpmath
@@ -12,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import normapprox
-from normapprox import (DomainError, GridSpec, oracle_cross_check,
-                        quadrature_cdf, ref_cdf, ref_quantile)
+from normapprox import DomainError, GridSpec, ref_cdf, ref_quantile
+from quadrature import oracle_cross_check, quadrature_cdf
 
 # high-precision tail values, frozen from a 50-digit erfc evaluation
 TAIL_VALUES = {
@@ -122,9 +127,16 @@ def test_quantile_matches_printed_pairing():
     assert abs(ref_quantile(0.9452) - 1.6) < 5e-4
 
 
-@pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 1.5, math.nan, math.inf])
+@pytest.mark.parametrize("bad", [
+    0.0, 1.0, -0.5, 1.5, math.nan, math.inf,
+    # inside (0, 1), but the double of each is 0.0 or 1.0
+    Decimal("1e-400"), Fraction(1, 10**400), Decimal("0.99999999999999999999")],
+    ids=["0.0", "1.0", "-0.5", "1.5", "nan", "inf",
+         "Decimal-1e-400", "Fraction-1/10**400", "Decimal-1-1e-20"])
 def test_quantile_rejects_out_of_domain(bad):
-    with pytest.raises(DomainError):
+    # the message names the double p became, not only the domain
+    with pytest.raises(DomainError, match=re.escape(
+            f"ref_quantile requires 0 < p < 1, and p as a double is {float(bad)!r}")):
         ref_quantile(bad)
 
 
@@ -212,6 +224,24 @@ def test_import_leaves_heavy_modules_unimported():
 def test_every_exported_name_resolves():
     # a stale entry in __all__ would break "from normapprox import *"
     assert [n for n in normapprox.__all__ if not hasattr(normapprox, n)] == []
+
+
+def test_src_imports_only_the_standard_library():
+    # the package declares no runtime dependencies, so every public function
+    # must run on a plain install; imports inside functions count too
+    pkg = pathlib.Path(normapprox.__file__).parent
+    third_party = []
+    for path in sorted(pkg.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            third_party += [f"{path.name}:{node.lineno}: {name}" for name in names
+                            if name.split(".")[0] not in sys.stdlib_module_names]
+    assert third_party == []
 
 
 @pytest.mark.parametrize("z", [0.5 * i for i in range(10)])  # 0 .. 4.5

@@ -115,11 +115,20 @@ def _horner(z: float, k: tuple[float, ...]) -> float:
 
 
 def phi9_linear_coefficient(z: float, coeffs: Phi9Coefficients | None = None) -> float:
-    """a(z) = sum_j k_j z^(j-1) by Horner; DomainError unless z is finite."""
+    """a(z) = sum_j k_j z^(j-1) by Horner; DomainError unless z is finite.
+
+    ``coeffs`` is a ``Phi9Coefficients`` reading, and only None selects
+    DEFAULT_PHI9; anything else raises TypeError.
+    """
     z = to_float(z)
     if not math.isfinite(z):
         raise DomainError("phi9_linear_coefficient requires a finite abscissa")
-    return _horner(z, (coeffs or DEFAULT_PHI9).k)
+    if coeffs is None:
+        coeffs = DEFAULT_PHI9
+    elif not isinstance(coeffs, Phi9Coefficients):
+        raise TypeError("phi9_linear_coefficient requires Phi9Coefficients or None, "
+                        f"not {type(coeffs).__name__}")
+    return _horner(z, coeffs.k)
 
 
 class ApproxDescriptor(Record):

@@ -10,9 +10,9 @@ logistic directly, with the same arithmetic as ``eval_cdf_extended``.
 of readings that share k9..k17, and ``compute_error_report`` scores phi9
 through it with DEFAULT_PHI9.  A reading is scored at most once per cached
 grid, so ``table2`` and ``reconcile`` share the default reading's report.
-``error_curve`` goes through ``eval_cdf_extended`` point by point.
-Reductions run sequentially in grid order (absolute-error sums through
+Both loops end in one reduction, sequential in grid order (sums through
 ``math.fsum``), so identical inputs always reproduce bit-identical reports.
+``error_curve`` goes through ``eval_cdf_extended`` point by point.
 Grid evaluation is embarrassingly parallel in principle; this implementation
 keeps it single-threaded for exact reproducibility.
 """
@@ -116,6 +116,15 @@ def _checked_refs(approx_id: int, spec: GridSpec) -> tuple[array, array, dict]:
     return _ref_values(spec)
 
 
+def _report(spec: GridSpec, pts, errs) -> ErrorReport:
+    """MXAE at its first-of-ties argmax, and MAE.  ``max`` and ``index`` give
+    the first of ties only while no error is NaN: phi9 readings are finite, and
+    each registry exponent on a checked grid is finite or raises OverflowError."""
+    mxae = max(errs)
+    return ErrorReport(grid=spec, mxae=mxae, mxae_location=pts[errs.index(mxae)],
+                       mae=math.fsum(errs) / len(errs))
+
+
 def compute_error_report(approx_id: int, spec: GridSpec) -> ErrorReport:
     """Grid MXAE (with argmax, first-of-ties) and MAE against the oracle;
     phi9 reads DEFAULT_PHI9 (``phi9_error_reports`` scores other readings)."""
@@ -124,8 +133,6 @@ def compute_error_report(approx_id: int, spec: GridSpec) -> ErrorReport:
         return phi9_error_reports(spec, (DEFAULT_PHI9,))[0]
     pts, refs, _ = _checked_refs(approx_id, spec)
     exp = math.exp
-    mxae = -1.0
-    mxae_location = pts[0]
     errs = []
     for z, r in zip(pts, refs):
         # the logistic of eval_cdf_extended; _checked_refs has checked every z
@@ -139,13 +146,8 @@ def compute_error_report(approx_id: int, spec: GridSpec) -> ErrorReport:
             else:
                 e = exp(t)
                 a = e / (1.0 + e)
-        err = abs(a - r)
-        errs.append(err)
-        if err > mxae:
-            mxae = err
-            mxae_location = z
-    return ErrorReport(grid=spec, mxae=mxae, mxae_location=mxae_location,
-                       mae=math.fsum(errs) / len(errs))
+        errs.append(abs(a - r))
+    return _report(spec, pts, errs)
 
 
 def phi9_error_reports(spec: GridSpec, readings) -> tuple[ErrorReport, ...]:
@@ -160,9 +162,7 @@ def phi9_error_reports(spec: GridSpec, readings) -> tuple[ErrorReport, ...]:
     point; each reading of the group then runs its last eight steps, the
     ``* z`` and the logistic.  Every operation is the one ``_horner`` and
     ``eval_cdf_extended`` make, in their order, so each report is bit-identical
-    to scoring that reading alone.  Finite coefficients on a finite grid keep
-    every exponent out of NaN, so ``max`` and ``index`` give the
-    first-of-ties argmax.
+    to scoring that reading alone.
     """
     readings = tuple(readings)
     pts, refs, reports = _checked_refs(9, spec)
@@ -188,10 +188,7 @@ def phi9_error_reports(spec: GridSpec, readings) -> tuple[ErrorReport, ...]:
                     a = e / (1.0 + e)
                 append(abs(a - ref))
     for k, err in errs.items():
-        mxae = max(err)
-        errs[k] = ErrorReport(grid=spec, mxae=mxae,
-                              mxae_location=pts[err.index(mxae)],
-                              mae=math.fsum(err) / len(err))
+        errs[k] = _report(spec, pts, err)
         if len(reports) < _MAX_CACHED_REPORTS:
             reports[k] = errs[k]
     return tuple(reports.get(r.k) or errs[r.k] for r in readings)

@@ -46,10 +46,12 @@ def reconcile_phi9(spec: GridSpec = GRID_B) -> ReconciliationReport:
         notes = (f"variant {best_variant.variant_tag!r} reproduces the published "
                  f"accuracy: mxae {best_report.mxae:.3e} at z = {best_report.mxae_location:.6f}")
     else:
+        default = ("which ships as the library default" if best_variant is DEFAULT_PHI9
+                   else f"while the library default is {DEFAULT_PHI9.variant_tag!r}")
         notes = (f"no variant reproduces the published mxae {TARGET_MXAE:.2e} at "
                  f"z = {TARGET_ARGMAX}; best achieved is {best_report.mxae:.3e} at "
                  f"z = {best_report.mxae_location:.6f} by {best_variant.variant_tag!r}, "
-                 f"which ships as the library default")
+                 + default)
     if ties:
         notes += ("; mxae ties with " + ", ".join(repr(t) for t in ties)
                   + "; the flagged coefficients are error-insensitive there")
@@ -92,6 +94,8 @@ def format_report(report: ReconciliationReport) -> str:
         lines.append(f"{variant.variant_tag + mark:<28}{rep.mxae:<16.6e}"
                      f"{rep.mae:<16.6e}{rep.mxae_location:<12.4f}{variant.notes}")
     lines.append("")
-    lines.append("(*) selected variant; embedded as the library default "
-                 f"({DEFAULT_PHI9.variant_tag!r})")
+    default = DEFAULT_PHI9.variant_tag
+    lines.append(f"(*) selected variant; embedded as the library default ({default!r})"
+                 if report.selected == default
+                 else f"(*) selected variant; the library default is {default!r}")
     return "\n".join(lines) + "\n"

@@ -12,7 +12,7 @@ from normapprox import (DEFAULT_PHI9, DomainError, GRID_A, GRID_B, GridSpec,
                         eval_cdf_extended, inverse_table, list_approximations,
                         phi9_error_reports, phi9_linear_coefficient,
                         polya_cdf, quantile_approx, ref_cdf, ref_quantile)
-from normapprox.approximations import _horner, descriptor
+from normapprox.approximations import K_TABULATED, _horner, descriptor
 from goldens import TABLE2
 
 ALL_IDS = range(1, 10)
@@ -125,6 +125,14 @@ def test_phi9_exponent_is_z_times_linear_coefficient():
     # other readings are scored by phi9_error_reports, tested in test_metrics
     y = list_approximations()[8].y
     assert all(y(z) == phi9_linear_coefficient(z) * z for z in GRID_A.points())
+
+
+@pytest.mark.parametrize("coeffs", [(), 0, K_TABULATED],
+                         ids=["empty-tuple", "zero", "K_TABULATED"])
+def test_phi9_coefficient_takes_only_a_reading_or_none(coeffs):
+    assert phi9_linear_coefficient(1.0, None) == phi9_linear_coefficient(1.0, DEFAULT_PHI9)
+    with pytest.raises(TypeError, match=f"not {type(coeffs).__name__}$"):
+        phi9_linear_coefficient(1.0, coeffs)
 
 
 _MODERATE = st.floats(min_value=-1e6, max_value=1e6)

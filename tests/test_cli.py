@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: formats, exit codes, file outputs."""
 
+import collections
 import contextlib
 import csv
 import io
@@ -291,6 +292,27 @@ def test_bench_caps_evaluations(capsys):
     assert code == 2
     assert out == ""
     assert "10000000" in err
+
+
+def test_run_bench_times_every_subject_over_warmup_and_evals(monkeypatch):
+    calls = collections.Counter()
+    extended, oracle = cli.eval_cdf_extended, cli.ref_cdf
+
+    def counted_extended(i, z):
+        calls[f"phi{i}"] += 1
+        return extended(i, z)
+
+    def counted_oracle(z):
+        calls["oracle"] += 1
+        return oracle(z)
+
+    monkeypatch.setattr(cli, "eval_cdf_extended", counted_extended)
+    monkeypatch.setattr(cli, "ref_cdf", counted_oracle)
+    results = cli.run_bench(1000)
+    labels = [f"phi{i}" for i in range(1, 10)] + ["oracle"]
+    assert [label for label, _ in results] == labels
+    assert all(wall > 0.0 for _, wall in results)
+    assert calls == dict.fromkeys(labels, 1000 + cli._WARMUP_EVALS)
 
 
 def test_reconcile_writes_report(tmp_path, capsys):

@@ -103,6 +103,22 @@ def test_reconcile_on_coarser_grid_same_winner():
     assert report.selected == DEFAULT_PHI9.variant_tag
 
 
+@pytest.mark.parametrize("spec, winner", [
+    (GridSpec(3.0, 5.0, 0.01), "prose-literal"),
+    # every variant ties at 7.8e-16, and min keeps the first
+    (GridSpec(0.0, 1e-6, 1e-6), "table-literal"),
+], ids=["3-to-5", "all-tie"])
+def test_report_names_the_default_when_another_variant_wins(spec, winner):
+    report = reconcile_phi9(spec)
+    assert report.selected == winner
+    default = repr(DEFAULT_PHI9.variant_tag)
+    assert f"by {winner!r}, while the library default is {default}" in report.notes
+    assert "ships as the library default" not in report.notes
+    text = format_report(report)
+    assert text.endswith(f"\n(*) selected variant; the library default is {default}\n")
+    assert "embedded as the library default" not in text
+
+
 def test_negated_k14_reproduces_published_accuracy():
     # evidence only: the shipped default stays as reconcile selects it.  One
     # sign change on top of it, at k14, meets the published MXAE and argmax.

@@ -5,14 +5,11 @@ Exit codes: 0 success, 2 usage/domain error, 3 I/O error.
 """
 
 import argparse
-import csv
 import io
-import json
 import sys
 import time
 from functools import cache, partial
 from itertools import cycle, islice
-from pathlib import Path
 
 from . import __version__
 from .approximations import DEFAULT_PHI9, eval_cdf_extended, list_approximations
@@ -48,7 +45,9 @@ def _table_grid(args) -> GridSpec:
 
 def _render(fmt, command, meta, headers, rows, sections=None) -> str:
     """csv, JSON with ``meta``, or markdown: a table per ``(title, columns)`` section."""
+    # json and csv are imported here, so a run pays only for the format it writes
     if fmt == "csv":
+        import csv
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(headers)
@@ -56,6 +55,7 @@ def _render(fmt, command, meta, headers, rows, sections=None) -> str:
         writer.writerows(rows)
         return buf.getvalue()
     if fmt == "json":
+        import json
         obj = {
             "meta": {"command": command, "version": __version__,
                      "phi9_variant": DEFAULT_PHI9.variant_tag, **meta},
@@ -86,7 +86,8 @@ def _emit(args, command, meta, headers, rows, sections=None, path=None) -> int:
     text = _render(args.format, command, meta, headers, rows, sections)
     path = path or args.output
     if path:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
     return 0
@@ -127,6 +128,7 @@ def cmd_table34(args) -> int:
 
 
 def cmd_curves(args) -> int:
+    from pathlib import Path  # the figure paths it prints are Path objects
     spec = _table_grid(args)
     fig1_rows = error_curve(args.approx, spec)
     # the (p, delta3) columns of inverse_table, without computing the others
@@ -191,7 +193,8 @@ def cmd_bench(args) -> int:
 def cmd_reconcile(args) -> int:
     report = reconcile_phi9(GridSpec(args.grid_start, args.grid_stop, args.grid_step))
     path = args.output or "phi9_reconciliation.txt"
-    Path(path).write_text(format_report(report), encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(format_report(report))
     sel = report.selected_report
     print(f"selected: {report.selected}")
     print(f"selected mxae: {sel.mxae:.6e} at z = {sel.mxae_location!r} "

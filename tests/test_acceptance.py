@@ -244,8 +244,9 @@ def test_c7_bench_command(tmp_path):
         assert r["per_eval_full"] > 0.0
         assert r["per_eval_full"] == r["wall_time_full"] / r["evaluations"]
     per = {r["subject"]: r["per_eval_full"] for r in rows}
-    # expectation, not a hard assert: a one-term logistic should not run
-    # slower than the dual-branch oracle
+    # expectation, not a hard assert, and of per-call cost, not of kernels:
+    # phi1 runs through partial(eval_cdf_extended, 1), paying the partial, the
+    # entry point's checks and a lambda exponent, while ref_cdf runs mostly in C
     note = ("holds" if per["oracle"] >= per["phi1"] else
             "DID NOT hold on this machine (timing expectation only)")
     _report(f"C7 bench >= 1e6 evals/subject, well-formed: PASS "

@@ -7,6 +7,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import textwrap
 from decimal import Decimal
 from fractions import Fraction
 from statistics import NormalDist
@@ -219,6 +220,74 @@ def test_import_leaves_heavy_modules_unimported():
          f"import normapprox, sys; print(*[m in sys.modules for m in {heavy!r}])"],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
     assert done.stdout.split() == ["False"] * len(heavy), done.stderr
+
+
+def test_import_loads_only_what_is_used():
+    # -S, because site may preload pathlib, re and collections.abc: the package
+    # loads its submodules (and metrics its array) on first use, and the CLI
+    # imports json, csv and pathlib only for the format or command that needs them
+    src = os.path.dirname(os.path.dirname(normapprox.__file__))
+    probe = ("import sys, normapprox\n"
+             "print(*[m for m in sys.modules if m.startswith('normapprox.') or m == 'array'],"
+             " sep=',')\n"
+             "import normapprox.cli\n"
+             "print(*[m for m in ('json', 'csv', 'pathlib') if m in sys.modules], sep=',')\n")
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout.split("\n") == ["", "", ""], done.stderr
+
+
+# the submodule that defines each exported name
+EXPORT_OWNERS = {
+    "approximations": ["ApproxDescriptor", "DEFAULT_PHI9", "PHI9_VARIANTS", "Phi9Coefficients",
+                       "eval_cdf_extended", "list_approximations", "phi9_linear_coefficient"],
+    "errors": ["DomainError"],
+    "inverse": ["d1_poly", "polya_cdf", "quantile_approx"],
+    "metrics": ["DEFAULT_INVERSE_GRID", "GRID_A", "GRID_B", "ErrorReport", "GridSpec",
+                "InverseRow", "compute_error_report", "error_curve", "inverse_table",
+                "phi9_error_reports"],
+    "reconcile": ["ReconciliationReport", "reconcile_phi9"],
+    "reference": ["ref_cdf", "ref_quantile"],
+}
+
+
+def test_lazy_exports_keep_the_public_surface():
+    # in a fresh process, so that every read goes through the module __getattr__
+    pkg = pathlib.Path(normapprox.__file__).parent
+    submodules = sorted(p.stem for p in pkg.glob("*.py") if p.stem != "__init__")
+    probe = textwrap.dedent(f"""\
+        import importlib, pickle, sys
+        import normapprox
+        for sub in {submodules!r}:
+            assert getattr(normapprox, sub) is sys.modules["normapprox." + sub], sub
+        owners = {EXPORT_OWNERS!r}
+        assert sorted(n for names in owners.values() for n in names) \\
+            == sorted(set(normapprox.__all__) - {{"__version__"}})
+        for sub, names in owners.items():
+            module = importlib.import_module("normapprox." + sub)
+            for name in names:
+                assert getattr(normapprox, name) is getattr(module, name), name
+        try:
+            normapprox.no_such_name
+        except AttributeError:
+            pass
+        else:
+            raise AssertionError("no_such_name resolved")
+        assert not hasattr(normapprox, "no_such_name")
+        assert set(normapprox.__all__) <= set(dir(normapprox))
+        star = {{}}
+        exec("from normapprox import *", star)
+        assert len(normapprox.__all__) == 26
+        assert set(star) - {{"__builtins__"}} == set(normapprox.__all__)
+        assert all(star[n] is getattr(normapprox, n) for n in normapprox.__all__)
+        row = normapprox.list_approximations()[0]
+        assert pickle.loads(pickle.dumps(row)) is row
+        print("ok")
+        """)
+    done = subprocess.run([sys.executable, "-c", probe],
+                          env=dict(os.environ, PYTHONPATH=str(pkg.parent)),
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout == "ok\n", done.stderr
 
 
 def test_every_exported_name_resolves():

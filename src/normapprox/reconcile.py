@@ -4,9 +4,10 @@ the ninth approximation's exponent polynomial.
 The published sources disagree at k3, k5 and k8; ``approximations`` holds the
 two readings of each and builds their eight combinations as ``PHI9_VARIANTS``.
 ``reconcile_phi9`` scores all eight against the oracle through
-``phi9_error_reports`` (one grid pass for those not already scored on the
-grid) and selects the minimal-MXAE variant, treating the published accuracy
-figures as the specification of record.
+``phi9_error_reports`` and selects the minimal-MXAE variant, treating the
+published accuracy figures as the specification of record.  Those not
+already scored on the grid take one grid pass, which runs each Horner step
+the variants share once a point: they differ only at k3, k5 and k8.
 """
 
 from .approximations import DEFAULT_PHI9, PHI9_VARIANTS, descriptor

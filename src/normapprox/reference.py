@@ -13,8 +13,10 @@ imports only the standard library.
 ships it; it shares no code with ``erfc``, so round trips through ``ref_cdf``
 check two independent routes.  Its C kernel, ``statistics._normal_dist_inv_cdf``,
 is bound on the first valid call; then a call costs 0.21 us (median ``p50_us``
-of ``quantile``, ``BENCH_scalar_one_frame.json``).  Tests compare every result
-bit for bit with the public ``inv_cdf``, which guards the private name.
+of ``quantile``, ``BENCH_scalar_one_frame.json``).  A Python without that
+private name gets ``NormalDist(mu, sigma).inv_cdf`` instead, the same AS 241
+behind a public call.  Tests compare every result bit for bit with the public
+``inv_cdf``, through either binding.
 
 Everything here is pure and stateless; concurrent use is unrestricted.
 """
@@ -58,5 +60,11 @@ def _as241(p: float, mu: float, sigma: float) -> float:
     # first call only: rebinds this name to the C kernel, so later calls reach
     # it directly; importing statistics takes about 5 ms, which no CLI needs
     global _as241
-    from statistics import _normal_dist_inv_cdf as _as241
+    try:
+        from statistics import _normal_dist_inv_cdf as _as241
+    except ImportError:  # a Python without the private name: the public route
+        from statistics import NormalDist
+
+        def _as241(p, mu, sigma):
+            return NormalDist(mu, sigma).inv_cdf(p)
     return _as241(p, mu, sigma)

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normapprox import (DEFAULT_PHI9, PHI9_VARIANTS, DomainError, GRID_A, GRID_B,
                         GridSpec, Phi9Coefficients, compute_error_report,
@@ -222,10 +224,13 @@ def test_default_reading_is_scored_once_per_grid():
     assert len(default) == 1 and default[0] is rep
 
 
-def test_report_cache_keeps_at_most_its_cap():
+def test_report_cache_keeps_at_most_its_cap(monkeypatch):
     spec = GridSpec(0.0, 2.0, 0.25)
     _ref_values.cache_clear()
     cap = metrics._MAX_CACHED_REPORTS
+    sizes = []  # readings per kernel built or fetched
+    build = metrics._phi9_kernel
+    monkeypatch.setattr(metrics, "_phi9_kernel", lambda ks: sizes.append(len(ks)) or build(ks))
     # cap + 4 distinct readings, k1 = 1 + i/64
     readings = [Phi9Coefficients(k=(1.0 + i / 64, *DEFAULT_PHI9.k[1:]), variant_tag=str(i))
                 for i in range(cap + 4)]
@@ -236,6 +241,55 @@ def test_report_cache_keeps_at_most_its_cap():
         for r, rep in zip(readings, reports):
             _assert_first_of_ties_reduction(
                 rep, pts, [abs(_phi9_cdf(z, r) - ref_cdf(z)) for z in pts])
+    # no kernel takes more than the cap, whose source size it bounds
+    assert sizes == [cap, 4, 4]
+    assert build.cache_info().maxsize is not None
+
+
+_BASE_K = DEFAULT_PHI9.k
+# what a position of a reading may become: signed zeros, any printed entry,
+# or a moderate float
+_ENTRY = st.one_of(st.sampled_from((0.0, -0.0, *_BASE_K)), st.floats(-2.0, 2.0))
+# DEFAULT_PHI9.k with up to four positions replaced
+_K = st.dictionaries(st.integers(0, 16), _ENTRY, max_size=4).map(
+    lambda new: tuple(new.get(i, c) for i, c in enumerate(_BASE_K)))
+
+
+def _replaced(k, pos, values):
+    return [k[:pos] + (v,) + k[pos + 1:] for v in values]
+
+
+_READING_SETS = st.one_of(
+    # distinct readings, drawn with repeats
+    st.lists(_K, min_size=1, max_size=10).flatmap(
+        lambda ks: st.lists(st.sampled_from(ks), min_size=1, max_size=20)),
+    # one reading, repeated
+    st.builds(lambda k, n: [k] * n, _K, st.integers(1, 20)),
+    # readings that differ only at k17, or only at k1
+    st.builds(_replaced, _K, st.sampled_from((16, 0)), st.lists(_ENTRY, min_size=1, max_size=20)),
+    # 0.0 against -0.0 at one position, also where every other entry is zero
+    st.builds(lambda k, pos: _replaced(k, pos, (0.0, -0.0)),
+              st.one_of(_K, st.just((0.0,) * 17)), st.integers(0, 16)),
+)
+
+
+@given(_READING_SETS)
+@settings(max_examples=100, deadline=None)
+def test_phi9_kernel_equals_pointwise_scoring(ks):
+    spec = GridSpec(0.0, 3.0, 0.25)
+    _ref_values.cache_clear()  # no report kept from an earlier example
+    readings = [Phi9Coefficients(k=k, variant_tag=str(i)) for i, k in enumerate(ks)]
+    pts = spec.points()
+    for r, rep in zip(readings, phi9_error_reports(spec, readings)):
+        _assert_first_of_ties_reduction(rep, pts, [abs(_phi9_cdf(z, r) - ref_cdf(z)) for z in pts])
+
+
+def test_phi9_kernel_binds_every_coefficient_as_a_default():
+    ks = tuple(v.k for v in PHI9_VARIANTS)
+    kernel = metrics._phi9_kernel(ks)
+    # the logistic's constants only: no coefficient went through source text
+    assert set(kernel.__code__.co_consts) <= {None, 0.0, 1.0}
+    assert {c for k in ks for c in k} <= set(kernel.__defaults__)
 
 
 def test_oracle_cache_holds_two_grids():

@@ -209,6 +209,29 @@ def test_quantile_first_call_binds_as241_once():
                                    NormalDist().inv_cdf(0.3).hex(), "True"], done.stderr
 
 
+def test_quantile_falls_back_to_the_public_inv_cdf():
+    # a Python that drops statistics._normal_dist_inv_cdf, played by a stand-in
+    # module that keeps every other name, NormalDist among them
+    src = os.path.dirname(os.path.dirname(normapprox.__file__))
+    probe = (
+        "import statistics, sys, types\n"
+        "shown = types.ModuleType('statistics')\n"
+        "shown.__dict__.update((n, v) for n, v in vars(statistics).items()\n"
+        "                      if n != '_normal_dist_inv_cdf')\n"
+        "sys.modules['statistics'] = shown\n"
+        "from normapprox import ref_quantile\n"
+        "import normapprox.reference as reference\n"
+        f"zs = [ref_quantile(p) for p in {QUANTILE_GATE_PS!r}]\n"
+        "print(type(reference._as241).__name__, reference._as241(0.3, 2.0, 3.0).hex())\n"
+        "print(*[z.hex() for z in zs])\n")
+    done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    lines = done.stdout.split("\n")
+    # a Python function, not the C kernel, which also passes mu and sigma on
+    assert lines[0].split() == ["function", NormalDist(2.0, 3.0).inv_cdf(0.3).hex()], done.stderr
+    assert lines[1].split() == [NormalDist().inv_cdf(p).hex() for p in QUANTILE_GATE_PS]
+
+
 def test_import_leaves_heavy_modules_unimported():
     # every CLI run pays these at start-up: statistics (about 5 ms) serves only
     # ref_quantile, which no CLI command calls, and dataclasses (about 11 ms,

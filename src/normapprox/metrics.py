@@ -7,8 +7,8 @@ and its abscissae, oracle values and phi9 reports are cached together.
 the loops that skip the per-point checks: they evaluate the exponent and
 logistic directly, with the same arithmetic as ``eval_cdf_extended``.
 ``phi9_error_reports`` is the one phi9 grid kernel: one grid pass through a
-straight-line loop, generated once per reading set, that runs each Horner
-step its readings share once a point; ``compute_error_report`` scores phi9
+straight-line loop, generated for its readings, that runs each Horner
+step they share once a point; ``compute_error_report`` scores phi9
 through it with DEFAULT_PHI9.  A reading is scored at most once per cached
 grid, so ``table2`` and ``reconcile`` share the default reading's report.
 Both loops end in one reduction, sequential in grid order (sums through
@@ -184,7 +184,6 @@ def phi9_error_reports(spec: GridSpec, readings) -> tuple[ErrorReport, ...]:
     return tuple(reports.get(r.k) or errs[r.k] for r in readings)
 
 
-@lru_cache(maxsize=8)
 def _phi9_kernel(ks: tuple[tuple[float, ...], ...]):
     """A straight-line grid loop that scores the readings ``ks`` at once.
 
@@ -196,11 +195,11 @@ def _phi9_kernel(ks: tuple[tuple[float, ...], ...]):
     identifiers; ``exp``, ``abs`` and every coefficient are bound as
     defaults, so no float goes through decimal text.
 
-    Suffixes, like this cache, are keyed by value, so 0.0 and -0.0 share a
-    node: a signed zero changes only the sign of a zero partial sum, never a
-    nonzero one, and the logistic reads both alike.  ``phi9_error_reports``
-    passes at most _MAX_CACHED_REPORTS readings, which bounds the source at
-    about 400 lines, and the cache holds 8 kernels.
+    Suffixes are keyed by value, so 0.0 and -0.0 share a node: a signed zero
+    changes only the sign of a zero partial sum, never a nonzero one, and the
+    logistic reads both alike.  ``phi9_error_reports`` passes at most
+    _MAX_CACHED_REPORTS readings, which bounds the source at about 400 lines.
+    Nothing is cached: a CLI command builds at most one kernel.
     """
     consts = []     # c<i>, the coefficient each node adds
     names = {}      # suffix k[j:] -> the name that holds its partial sum

@@ -464,8 +464,9 @@ def test_missing_subcommand_exit_2(capsys):
 
 
 def test_cli_commands_leave_scipy_unimported(tmp_path):
-    # scipy is a test dependency only and would cost most of a fresh
-    # process's start-up, so neither the package nor any command may load it
+    # the package imports only the standard library: neither it nor any
+    # command may load scipy or numpy, which would cost most of a fresh
+    # process's start-up, or mpmath, the test suite's own reference route
     # (bench is left out: it needs a million evaluations per subject)
     argvs = [["table2", "--grid-stop", "1", "--grid-step", "0.1"],
              ["table34"],
@@ -481,8 +482,8 @@ def test_cli_commands_leave_scipy_unimported(tmp_path):
         from normapprox.cli import main
         with contextlib.redirect_stdout(io.StringIO()):
             codes = [main(argv) for argv in {argvs!r}]
-        print(json.dumps([codes, sorted(m for m in sys.modules
-                                        if m.split(".")[0] == "scipy")]))
+        print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0]
+                                        in ("scipy", "numpy", "mpmath"))]))
     """)
     src = os.path.dirname(os.path.dirname(normapprox.__file__))
     env = dict(os.environ,
@@ -490,9 +491,9 @@ def test_cli_commands_leave_scipy_unimported(tmp_path):
     done = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    codes, scipy_modules = json.loads(done.stdout.splitlines()[-1])
+    codes, foreign_modules = json.loads(done.stdout.splitlines()[-1])
     assert codes == [0] * len(argvs)
-    assert scipy_modules == []
+    assert foreign_modules == []
 
 
 @pytest.mark.parametrize("argv, code, stderr", [

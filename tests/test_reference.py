@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import normapprox
-from normapprox import DomainError, GridSpec, ref_cdf, ref_quantile
+import quadrature
+from normapprox import GRID_A, DomainError, GridSpec, ref_cdf, ref_quantile
 from quadrature import oracle_cross_check, quadrature_cdf
 
 # high-precision tail values, frozen from a 50-digit erfc evaluation
@@ -39,7 +40,7 @@ def test_cdf_matches_printed_value_at_0_4():
 
 
 def test_cdf_agrees_with_quadrature_at_one():
-    # independent adaptive quadrature of the density over (-40, 1]
+    # independent tanh-sinh quadrature of the density over (-40, 1]
     q = quadrature_cdf(1.0)
     assert abs(ref_cdf(1.0) - q) < 1e-14
     # frozen 50-digit value for good measure
@@ -108,6 +109,21 @@ def test_cross_check_default_grid_a():
 def test_cross_check_singleton_zero():
     # both methods give one half up to rounding at the symmetry point
     assert oracle_cross_check([0.0]) <= 1e-15
+
+
+def test_quadrature_agrees_with_mpmath():
+    # the cross-check route itself against 50-digit mpmath, on every 20th
+    # point of [-8, 8] at step 0.002 (measured worst 4.2e-16)
+    with mpmath.workdps(50):
+        worst = max(abs(mpmath.mpf(quadrature_cdf(z)) - mpmath.ncdf(z))
+                    for z in (-8.0 + 0.002 * i for i in range(0, 8001, 20)))
+    assert worst <= 1e-15
+
+
+def test_cross_check_catches_a_shifted_oracle(monkeypatch):
+    # an oracle 1e-13 off everywhere must fail the 1e-14 gate
+    monkeypatch.setattr(quadrature, "ref_cdf", lambda z: ref_cdf(z) + 1e-13)
+    assert oracle_cross_check(GRID_A.points()) > 1e-14
 
 
 def test_cross_check_rejects_out_of_range():

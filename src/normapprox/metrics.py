@@ -25,7 +25,8 @@ import math
 from array import array
 from functools import lru_cache
 
-from .approximations import DEFAULT_PHI9, descriptor, eval_cdf_extended
+from .approximations import (DEFAULT_PHI9, Phi9Coefficients, descriptor,
+                             eval_cdf_extended)
 from .errors import DomainError, Record, to_float
 from .inverse import quantile_approx
 from .reference import ref_cdf
@@ -167,9 +168,14 @@ def phi9_error_reports(spec: GridSpec, readings) -> tuple[ErrorReport, ...]:
     readings: at every point it runs each Horner step that readings share
     once, then each reading's ``* z`` and logistic.  Every operation is the
     one ``_horner`` and ``eval_cdf_extended`` make, in their order, so each
-    report is bit-identical to scoring that reading alone.
+    report is bit-identical to scoring that reading alone.  A reading that
+    is not a ``Phi9Coefficients`` raises TypeError before anything is scored.
     """
     readings = tuple(readings)
+    for r in readings:
+        if not isinstance(r, Phi9Coefficients):
+            raise TypeError("phi9_error_reports requires Phi9Coefficients readings, "
+                            f"not {type(r).__name__}")
     pts, refs, reports = _checked_refs(9, spec)
     # 8 bytes a point per unscored reading, where a float list would take 32
     errs = {r.k: array("d") for r in readings if r.k not in reports}

@@ -3,7 +3,17 @@
 TABLE2 holds the published (MXAE, MAE) pairs per approximation id; TABLE3 the
 published quantile-approximation columns (unit: 1e-4); TABLE4 the published
 signed differences together with the unit of their last printed digit.
+GOLDEN_RUNS names the ``normapprox`` argv that writes each file under
+tests/golden with ``--output``.  ``python tests/goldens.py`` (standard library
+only) runs every row through the ``normapprox`` on PATH from a temporary
+directory, and exits 1, naming each file that differs, unless every run exits 0
+with empty stderr and writes its golden byte for byte.
 """
+
+import pathlib
+import subprocess
+import sys
+import tempfile
 
 TABLE2 = {
     1: (1.77e-2, 7.05e-3),
@@ -55,3 +65,55 @@ TABLE4 = {
 PHI9_TARGET_MXAE = 4.43e-10
 PHI9_TARGET_MAE = 9.62e-11
 PHI9_TARGET_ARGMAX = 0.794634
+
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+# (test id, argv, golden).  The goldens come from Python 3.11.7 with glibc libm;
+# a change to one is a change to a published number and belongs in CHANGES.md.
+GOLDEN_RUNS = [
+    ("table2", "table2 --format csv", "table2.csv"),
+    ("table2-markdown", "table2", "table2.md"),
+    ("table34", "table34 --format csv", "table34.csv"),
+    ("reconcile", "reconcile", "reconcile.txt"),
+    ("reconcile-grid-a", "reconcile --grid-stop 4 --grid-step 0.01", "reconcile_grid_a.txt"),
+    ("curves-phi9", "curves --approx 9 --format csv", "figure1_phi9.csv"),
+    # phi4's exponent has z**3
+    ("curves-phi4", "curves --approx 4 --format csv", "figure1_phi4.csv"),
+    ("curves-figure2", "curves --approx 9 --format csv", "figure2_delta3.csv"),
+    # the other renderer branches: JSON with and without grid meta, markdown
+    # with and without section titles
+    ("table2-json", "table2 --format json", "table2.json"),
+    ("table34-json", "table34 --format json", "table34.json"),
+    ("table34-markdown", "table34", "table34.md"),
+    ("curves-phi9-markdown", "curves --approx 9 --format markdown", "figure1_phi9.md"),
+    ("curves-figure2-markdown", "curves --approx 9 --format markdown", "figure2_delta3.md"),
+    ("eval-json", "eval --approx 9 --format json 0.5 1.25 3", "eval.json"),
+    ("invert-markdown", "invert --inverse 3 0.025 0.5 0.975", "invert.md"),
+]
+
+
+def golden_argv(argv: str, golden: str, directory: pathlib.Path) -> list[str]:
+    """``argv`` and the ``--output`` that writes ``golden`` into ``directory``;
+    ``curves`` writes its two figures into the directory itself."""
+    out = directory if argv.startswith("curves") else directory / golden
+    return [*argv.split(), "--output", str(out)]
+
+
+def main() -> int:
+    differ = []
+    for _, argv, golden in GOLDEN_RUNS:
+        with tempfile.TemporaryDirectory() as tmp:
+            done = subprocess.run(["normapprox", *golden_argv(argv, golden, pathlib.Path(tmp))],
+                                  cwd=tmp, capture_output=True)
+            out = pathlib.Path(tmp, golden)
+            if done.returncode or done.stderr or not out.is_file() \
+                    or out.read_bytes() != (GOLDEN / golden).read_bytes():
+                differ.append(golden)
+                sys.stderr.write(f"{golden} differs: normapprox {argv} exited "
+                                 f"{done.returncode}\n" + done.stderr.decode(errors="replace"))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

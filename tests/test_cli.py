@@ -7,7 +7,6 @@ import io
 import json
 import math
 import os
-import pathlib
 import re
 import subprocess
 import sys
@@ -23,6 +22,7 @@ from normapprox import (GRID_A, GRID_B, DomainError, ErrorReport, GridSpec,
                         compute_error_report, inverse_table, quantile_approx)
 from normapprox import cli
 from normapprox.cli import build_parser, main
+from goldens import GOLDEN, GOLDEN_RUNS, golden_argv
 
 
 def run(capsys, *argv):
@@ -171,60 +171,18 @@ def test_table34_csv_round_trips(tmp_path, capsys):
         assert float(row[header.index("delta3_full")]) == exp.delta3
 
 
-GOLDEN = pathlib.Path(__file__).parent / "golden"
-
-
-@pytest.mark.parametrize("argv, golden", [
-    (["table2", "--format", "csv"], "table2.csv"),
-    (["table2"], "table2.md"),
-    (["table34", "--format", "csv"], "table34.csv"),
-    (["reconcile"], "reconcile.txt"),
-    (["reconcile", "--grid-stop", "4", "--grid-step", "0.01"], "reconcile_grid_a.txt"),
-    (["curves", "--approx", "9", "--format", "csv"], "figure1_phi9.csv"),
-    # phi4's exponent has z**3
-    (["curves", "--approx", "4", "--format", "csv"], "figure1_phi4.csv"),
-    (["curves", "--approx", "9", "--format", "csv"], "figure2_delta3.csv"),
-    (["table2", "--format", "json"], "table2.json"),
-    (["table34", "--format", "json"], "table34.json"),
-    (["table34"], "table34.md"),
-    (["curves", "--approx", "9", "--format", "markdown"], "figure1_phi9.md"),
-    (["curves", "--approx", "9", "--format", "markdown"], "figure2_delta3.md"),
-    (["eval", "--approx", "9", "--format", "json", "0.5", "1.25", "3"], "eval.json"),
-    (["invert", "--inverse", "3", "0.025", "0.5", "0.975"], "invert.md"),
-], ids=["table2", "table2-markdown", "table34", "reconcile", "reconcile-grid-a",
-        "curves-phi9", "curves-phi4", "curves-figure2", "table2-json",
-        "table34-json", "table34-markdown", "curves-phi9-markdown",
-        "curves-figure2-markdown", "eval-json", "invert-markdown"])
+@pytest.mark.parametrize("argv, golden", [row[1:] for row in GOLDEN_RUNS],
+                         ids=[row[0] for row in GOLDEN_RUNS])
 def test_artefacts_match_golden_bytes(tmp_path, capsys, argv, golden):
-    """Each published artefact, byte for byte, including the ``*_full`` columns.
-
-    The files under tests/golden come from Python 3.11.7 with glibc libm and
-    are regenerated with ``normapprox table2 --format csv --output
-    tests/golden/table2.csv``, ``normapprox table2 --output
-    tests/golden/table2.md``, ``normapprox table34 --format csv --output
-    tests/golden/table34.csv``, ``normapprox reconcile --output
-    tests/golden/reconcile.txt``, ``normapprox reconcile --grid-stop 4
-    --grid-step 0.01 --output tests/golden/reconcile_grid_a.txt`` and
-    ``normapprox curves --approx N --format csv --output tests/golden`` for
-    N = 9 and 4 (each also writes the same figure2_delta3.csv).  The files
-    that pin the other renderer branches come from ``normapprox table2
-    --format json --output tests/golden/table2.json`` (JSON with grid meta),
-    ``normapprox table34 --format json --output tests/golden/table34.json``
-    (JSON of the rows the markdown splits into sections), ``normapprox
-    table34 --output tests/golden/table34.md`` (two titled markdown
-    sections), ``normapprox curves --approx 9 --format markdown
-    --output tests/golden`` (figure1_phi9.md and figure2_delta3.md),
-    ``normapprox eval --approx 9 --format json 0.5 1.25 3 --output
-    tests/golden/eval.json`` (JSON with meta that is not a grid) and
-    ``normapprox invert --inverse 3 0.025 0.5 0.975 --output
-    tests/golden/invert.md`` (untitled markdown).  A change to any of them
-    is a change to a published number and belongs in CHANGES.md.
-    """
-    # curves writes into a directory; the other commands write one file
-    out = tmp_path if argv[0] == "curves" else tmp_path / golden
-    code, _, _ = run(capsys, *argv, "--output", str(out))
+    """Each published artefact, byte for byte, including the ``*_full`` columns:
+    each golden is what its GOLDEN_RUNS row writes with ``--output``."""
+    code, _, _ = run(capsys, *golden_argv(argv, golden, tmp_path))
     assert code == 0
     assert (tmp_path / golden).read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def test_golden_runs_name_every_golden_once():
+    assert sorted(row[2] for row in GOLDEN_RUNS) == sorted(p.name for p in GOLDEN.iterdir())
 
 
 def test_parser_is_built_once():

@@ -1,6 +1,7 @@
 """Grid construction, error reports, curves, and the quantile table."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -200,6 +201,23 @@ def test_phi9_error_reports_equal_pointwise_evaluation(spec):
 def test_phi9_error_reports_default_reading_equals_compute_error_report():
     assert phi9_error_reports(GRID_A, [DEFAULT_PHI9]) == (compute_error_report(9, GRID_A),)
     assert phi9_error_reports(GRID_A, []) == ()
+
+
+@pytest.mark.parametrize("reading", [
+    SimpleNamespace(k=(1.0,) * 5), SimpleNamespace(k=(math.nan,) * 17),
+    SimpleNamespace(k=("1.0",) * 17), (1.0,) * 17,
+], ids=["short-k", "nan-k", "string-k", "bare-tuple"])
+def test_phi9_error_reports_takes_only_phi9_coefficients(monkeypatch, reading):
+    spec = GridSpec(0.0, 2.0, 0.25)
+    phi9_error_reports(spec, [DEFAULT_PHI9])
+    cached, info, kernels = dict(_ref_values(spec)[2]), _ref_values.cache_info(), []
+    monkeypatch.setattr(metrics, "_phi9_kernel", kernels.append)
+    with pytest.raises(TypeError, match="^phi9_error_reports requires Phi9Coefficients "
+                                        f"readings, not {type(reading).__name__}$"):
+        phi9_error_reports(spec, [PHI9_VARIANTS[0], reading])
+    # raised before the oracle fill and before any kernel was built
+    assert (_ref_values.cache_info(), kernels) == (info, [])
+    assert _ref_values(spec)[2] == cached
 
 
 def test_grid_b_is_built_and_filled_once_for_table2_and_reconcile(tmp_path, monkeypatch):

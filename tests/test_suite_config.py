@@ -2,6 +2,7 @@
 and the four by-design reds stay red."""
 
 import pathlib
+import re
 import subprocess
 import sys
 import textwrap
@@ -52,3 +53,9 @@ def test_the_four_by_design_reds_stay_red():
     assert "passed" not in done.stdout, done.stdout
     failed = {ln.split()[1] for ln in done.stdout.splitlines() if ln.startswith("FAILED ")}
     assert failed == set(BY_DESIGN_REDS), done.stdout
+
+
+def test_ci_deselects_exactly_the_by_design_reds():
+    # a drifted copy would run a by-design red in CI, or silently drop a green
+    workflow = (PYPROJECT.parent / ".github/workflows/tests.yml").read_text()
+    assert sorted(re.findall(r'--deselect "([^"]+)"', workflow)) == sorted(BY_DESIGN_REDS)

@@ -24,23 +24,11 @@ _BENCH_MIN_EVALS = 1_000_000
 _BENCH_MAX_EVALS = 10_000_000  # ten times the minimum: over a minute per run
 _WARMUP_EVALS = 20_000
 _FIG2_GRID = GridSpec(0.0, 4.8, 0.01)
-# rows table34 and curves print, one per grid point: far fewer than
-# MAX_GRID_POINTS, because a JSON row peaks at about 1 KB (curves) to 5 KB (table34)
-_MAX_TABLE_ROWS = 50_000
 
 
 def _grid_meta(spec: GridSpec) -> dict:
     return {"grid": {"start": spec.start, "stop": spec.stop,
                      "step": spec.step, "count": spec.count}}
-
-
-def _table_grid(args) -> GridSpec:
-    """The grid of a command that prints a row per point, within _MAX_TABLE_ROWS."""
-    spec = GridSpec(args.grid_start, args.grid_stop, args.grid_step)
-    if spec.count > _MAX_TABLE_ROWS:
-        raise DomainError(f"{args.command} prints at most {_MAX_TABLE_ROWS:,} rows, "
-                          f"one per grid point; this grid has {spec.count:,}")
-    return spec
 
 
 def _render(fmt, command, meta, headers, rows, sections=None) -> str:
@@ -107,8 +95,7 @@ def cmd_table2(args) -> int:
 
 
 def cmd_table34(args) -> int:
-    spec = _table_grid(args)
-    data = inverse_table(spec.points())
+    data = inverse_table(DEFAULT_INVERSE_GRID.points())
     headers = ["z", "p", "zhat1", "zhat2", "zhat3",
                "delta1", "delta2", "delta3",
                "p_full", "zhat1_full", "zhat2_full", "zhat3_full",
@@ -124,13 +111,12 @@ def cmd_table34(args) -> int:
         ("quantile approximations", ["z", "p", "zhat1", "zhat2", "zhat3"]),
         ("signed differences (zhat - z)", ["z", "p", "delta1", "delta2", "delta3"]),
     ]
-    return _emit(args, "table34", _grid_meta(spec), headers, rows, sections)
+    return _emit(args, "table34", _grid_meta(DEFAULT_INVERSE_GRID), headers, rows, sections)
 
 
 def cmd_curves(args) -> int:
     from pathlib import Path  # the figure paths it prints are Path objects
-    spec = _table_grid(args)
-    fig1_rows = error_curve(args.approx, spec)
+    fig1_rows = error_curve(args.approx, GRID_A)
     # the (p, delta3) columns of inverse_table, without computing the others
     fig2_rows = []
     for z in _FIG2_GRID.points():
@@ -141,7 +127,7 @@ def cmd_curves(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     ext = {"csv": "csv", "json": "json", "markdown": "md"}[args.format]
     figures = [
-        (outdir / f"figure1_phi{args.approx}.{ext}", "curves.figure1", spec,
+        (outdir / f"figure1_phi{args.approx}.{ext}", "curves.figure1", GRID_A,
          ["z", "diff"], fig1_rows, f"signed error of phi{args.approx}"),
         (outdir / f"figure2_delta3.{ext}", "curves.figure2", _FIG2_GRID,
          ["p", "delta3"], fig2_rows, "delta3 against p"),
@@ -240,13 +226,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_table2)
 
     sp = sub.add_parser("table34", help="quantile approximations and differences")
-    _add_grid_flags(sp, DEFAULT_INVERSE_GRID)
     _add_io_flags(sp)
     sp.set_defaults(func=cmd_table34)
 
     sp = sub.add_parser("curves", help="figure datasets: signed error curve and delta3(p)")
     sp.add_argument("--approx", type=int, choices=range(1, 10), default=9)
-    _add_grid_flags(sp, GRID_A)
     _add_io_flags(sp, default_format="csv")
     sp.set_defaults(func=cmd_curves)
 

@@ -15,10 +15,10 @@ Both loops end in one reduction, sequential in grid order (sums through
 ``math.fsum``), so identical inputs always reproduce bit-identical reports.
 ``error_curve`` goes through ``eval_cdf_extended`` point by point.
 Grid evaluation stays single-threaded.  Each report is a pure function of its
-inputs, so a parallel split would keep its bits, but it does not pay on the
-shared 2-vCPU host this was measured on: two forked CPU-bound loops took 2.0
-times the wall time of one (0.350 s against 0.177 s), and table2 plus
-reconcile slowed from about 63 to 75 ms.
+inputs, so a parallel split would keep its bits, but it does not pay: on a
+2-vCPU host a forked child cost 4-10 ms to fork, pickle its reports and exit,
+against 13-20 ms for the phi1..phi8 loop it would share (ROADMAP "Measured,
+and not worth doing now").
 """
 
 import math

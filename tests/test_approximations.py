@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normapprox import (DEFAULT_PHI9, DomainError, GRID_A, GRID_B, GridSpec,
+from normapprox import (DEFAULT_PHI9, DomainError, GRID_A, GridSpec,
                         Phi9Coefficients, compute_error_report, error_curve,
                         eval_cdf_extended, inverse_table, list_approximations,
                         phi9_error_reports, phi9_linear_coefficient,
@@ -208,19 +208,6 @@ def test_coefficients_store_a_tuple_of_floats():
     assert [type(c) for c in Phi9Coefficients([1] * 17, "ints").k] == [float] * 17
     # k is the reading's cache key, so a list once escaped as TypeError there
     assert phi9_error_reports(GRID_A, [listed]) == phi9_error_reports(GRID_A, [DEFAULT_PHI9])
-
-
-@pytest.mark.parametrize("approx_id", range(1, 9))
-def test_range_and_monotonicity_grid_b(approx_id):
-    vals = [eval_cdf_extended(approx_id, z) for z in GRID_B.points()]
-    assert all(0.0 < v < 1.0 for v in vals)
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-
-def test_phi9_monotone_on_fine_grid_to_four():
-    pts = GridSpec(0.0, 4.0, 0.001).points()
-    vals = [eval_cdf_extended(9, z) for z in pts]
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
 def test_phi9_saturates_beyond_three_and_a_quarter():

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: formats, exit codes, file outputs."""
 
+import argparse
 import collections
 import contextlib
 import csv
@@ -8,8 +9,6 @@ import json
 import math
 import os
 import re
-import subprocess
-import sys
 import tempfile
 import textwrap
 
@@ -130,26 +129,25 @@ def test_table34_markdown_sections(capsys):
 
 
 @pytest.mark.parametrize("command", ["table34", "curves"])
-def test_row_bound_exits_2_before_any_output(tmp_path, capsys, monkeypatch, command):
-    # the bound is lowered so the over-bound grid stays small
-    monkeypatch.setattr(cli, "_MAX_TABLE_ROWS", 10)
+def test_table34_and_curves_help_offers_no_grid(capsys, command):
+    # they print the published grids; other grids go through the library:
+    # inverse_table(GridSpec(...).points()) and error_curve(i, GridSpec(...))
+    code, out, _ = run(capsys, command, "-h")
+    assert code == 0
+    assert "--grid-" not in out
+    assert "--format" in out and "--output" in out
+
+
+@pytest.mark.parametrize("command", ["table34", "curves"])
+@pytest.mark.parametrize("flag", ["--grid-start", "--grid-stop", "--grid-step"])
+def test_table34_and_curves_reject_grid_flags_before_any_output(tmp_path, capsys,
+                                                                 command, flag):
     out_path = tmp_path / "out"
-    code, out, err = run(capsys, command, "--grid-stop", "1.0", "--grid-step", "0.1",
-                         "--format", "json", "--output", str(out_path))
+    code, out, err = run(capsys, command, flag, "0.1", "--output", str(out_path))
     assert code == 2
     assert out == ""
-    assert err == (f"error: {command} prints at most 10 rows, one per grid point; "
-                   "this grid has 11\n")
+    assert f"unrecognized arguments: {flag} 0.1\n" in err
     assert not out_path.exists()
-    assert run(capsys, command, "--grid-stop", "0.9", "--grid-step", "0.1",
-               "--output", str(out_path))[0] == 0
-
-
-def test_table34_grid_override(capsys):
-    code, out, _ = run(capsys, "table34", "--grid-stop", "2.0", "--grid-step", "0.5",
-                       "--format", "json")
-    assert code == 0
-    assert len(json.loads(out)["rows"]) == 5
 
 
 def test_output_is_deterministic(capsys):
@@ -224,14 +222,6 @@ def test_curves_prints_no_path_when_a_write_fails(tmp_path, capsys):
     assert "i/o" in err.lower()
     # nor is figure1 left behind: the set is written whole or not at all
     assert not (tmp_path / "figure1_phi9.csv").exists()
-
-
-def test_curves_grid_choice_changes_row_count(tmp_path, capsys):
-    code, _, _ = run(capsys, "curves", "--grid-stop", "5", "--grid-step", "0.001",
-                     "--output", str(tmp_path))
-    assert code == 0
-    rows = (tmp_path / "figure1_phi9.csv").read_text().splitlines()
-    assert len(rows) == 5002  # header + 5001
 
 
 def test_curves_rejects_unknown_id(capsys):
@@ -391,7 +381,15 @@ def _grid_bounds(draw):
     return start, stop, step
 
 
-@given(st.sampled_from(["table2", "table34", "curves", "reconcile"]), _grid_bounds(),
+def _commands_with(option):
+    """The subcommands whose parser accepts ``option``."""
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    return sorted(name for name, sp in subparsers.choices.items()
+                  if option in sp._option_string_actions)
+
+
+@given(st.sampled_from(_commands_with("--grid-start")), _grid_bounds(),
        st.sampled_from(["csv", "json", "markdown"]))
 @settings(max_examples=100, deadline=None)
 def test_grid_commands_exit_cleanly_on_any_grid(command, bounds, fmt):
@@ -421,15 +419,14 @@ def test_missing_subcommand_exit_2(capsys):
     assert run(capsys)[0] == 2
 
 
-def test_cli_commands_leave_scipy_unimported(tmp_path):
+def test_cli_commands_leave_scipy_unimported(tmp_path, fresh_python):
     # the package imports only the standard library: neither it nor any
     # command may load scipy or numpy, which would cost most of a fresh
     # process's start-up, or mpmath, the test suite's own reference route
     # (bench is left out: it needs a million evaluations per subject)
     argvs = [["table2", "--grid-stop", "1", "--grid-step", "0.1"],
              ["table34"],
-             ["curves", "--grid-stop", "1", "--grid-step", "0.1",
-              "--output", str(tmp_path)],
+             ["curves", "--output", str(tmp_path)],
              ["reconcile", "--grid-stop", "1", "--grid-step", "0.1",
               "--output", str(tmp_path / "report.txt")],
              ["eval", "--", "-1.5", "0", "1.5"],
@@ -443,11 +440,7 @@ def test_cli_commands_leave_scipy_unimported(tmp_path):
         print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0]
                                         in ("scipy", "numpy", "mpmath"))]))
     """)
-    src = os.path.dirname(os.path.dirname(normapprox.__file__))
-    env = dict(os.environ,
-               PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    done = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
-                          capture_output=True, text=True, timeout=120)
+    done = fresh_python("-c", script, cwd=tmp_path, timeout=120)
     assert done.returncode == 0, done.stderr
     codes, foreign_modules = json.loads(done.stdout.splitlines()[-1])
     assert codes == [0] * len(argvs)
@@ -458,13 +451,10 @@ def test_cli_commands_leave_scipy_unimported(tmp_path):
     (["eval", "0"], 0, ""),
     (["eval", "--", "nan"], 2, "error: eval_cdf_extended requires a finite abscissa\n"),
 ], ids=["eval-0", "eval-nan"])
-def test_module_entry_point_returns_mains_exit_code(capsys, argv, code, stderr):
+def test_module_entry_point_returns_mains_exit_code(capsys, fresh_python, argv, code,
+                                                    stderr):
     # python -m normapprox.cli must exit with main's code and print what main prints
-    src = os.path.dirname(os.path.dirname(normapprox.__file__))
-    env = dict(os.environ,
-               PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    done = subprocess.run([sys.executable, "-m", "normapprox.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = fresh_python("-m", "normapprox.cli", *argv)
     assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv)
     assert (done.returncode, done.stderr) == (code, stderr)
     assert (done.stdout == "") == (code != 0)

@@ -2,10 +2,8 @@
 
 import ast
 import math
-import os
 import pathlib
 import re
-import subprocess
 import sys
 import textwrap
 from decimal import Decimal
@@ -202,12 +200,11 @@ def test_quantile_is_the_stdlib_as241_bit_for_bit():
     assert [ref_quantile(p) for p in QUANTILE_GATE_PS] == [as241(p) for p in QUANTILE_GATE_PS]
 
 
-def test_quantile_first_call_binds_as241_once():
+def test_quantile_first_call_binds_as241_once(fresh_python):
     # ref_quantile binds AS 241 on its first valid call: a rejected p must
     # neither import statistics nor reach it (which would raise
     # StatisticsError), the call that binds must answer like later ones, and
     # what it binds is the C kernel that NormalDist.inv_cdf returns through
-    src = os.path.dirname(os.path.dirname(normapprox.__file__))
     probe = (
         "import sys\n"
         "from normapprox import DomainError, ref_quantile\n"
@@ -219,16 +216,14 @@ def test_quantile_first_call_binds_as241_once():
         "print('statistics' in sys.modules, first == ref_quantile(0.3), first.hex())\n"
         "import statistics, normapprox.reference as reference\n"
         "print(reference._as241 is statistics._normal_dist_inv_cdf)\n")
-    done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, timeout=60)
+    done = fresh_python("-c", probe)
     assert done.stdout.split() == ["DomainError", "False", "True", "True",
                                    NormalDist().inv_cdf(0.3).hex(), "True"], done.stderr
 
 
-def test_quantile_falls_back_to_the_public_inv_cdf():
+def test_quantile_falls_back_to_the_public_inv_cdf(fresh_python):
     # a Python that drops statistics._normal_dist_inv_cdf, played by a stand-in
     # module that keeps every other name, NormalDist among them
-    src = os.path.dirname(os.path.dirname(normapprox.__file__))
     probe = (
         "import statistics, sys, types\n"
         "shown = types.ModuleType('statistics')\n"
@@ -240,39 +235,33 @@ def test_quantile_falls_back_to_the_public_inv_cdf():
         f"zs = [ref_quantile(p) for p in {QUANTILE_GATE_PS!r}]\n"
         "print(type(reference._as241).__name__, reference._as241(0.3, 2.0, 3.0).hex())\n"
         "print(*[z.hex() for z in zs])\n")
-    done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, timeout=60)
+    done = fresh_python("-c", probe)
     lines = done.stdout.split("\n")
     # a Python function, not the C kernel, which also passes mu and sigma on
     assert lines[0].split() == ["function", NormalDist(2.0, 3.0).inv_cdf(0.3).hex()], done.stderr
     assert lines[1].split() == [NormalDist().inv_cdf(p).hex() for p in QUANTILE_GATE_PS]
 
 
-def test_import_leaves_heavy_modules_unimported():
+def test_import_leaves_heavy_modules_unimported(fresh_python):
     # every CLI run pays these at start-up: statistics (about 5 ms) serves only
     # ref_quantile, which no CLI command calls, and dataclasses (about 11 ms,
     # mostly for the inspect it imports) would serve only the records
-    src = os.path.dirname(os.path.dirname(normapprox.__file__))
     heavy = ("statistics", "dataclasses", "inspect")
-    done = subprocess.run(
-        [sys.executable, "-c",
-         f"import normapprox, sys; print(*[m in sys.modules for m in {heavy!r}])"],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
+    done = fresh_python(
+        "-c", f"import normapprox, sys; print(*[m in sys.modules for m in {heavy!r}])")
     assert done.stdout.split() == ["False"] * len(heavy), done.stderr
 
 
-def test_import_loads_only_what_is_used():
+def test_import_loads_only_what_is_used(fresh_python):
     # -S, because site may preload pathlib, re and collections.abc: the package
     # loads its submodules (and metrics its array) on first use, and the CLI
     # imports json, csv and pathlib only for the format or command that needs them
-    src = os.path.dirname(os.path.dirname(normapprox.__file__))
     probe = ("import sys, normapprox\n"
              "print(*[m for m in sys.modules if m.startswith('normapprox.') or m == 'array'],"
              " sep=',')\n"
              "import normapprox.cli\n"
              "print(*[m for m in ('json', 'csv', 'pathlib') if m in sys.modules], sep=',')\n")
-    done = subprocess.run([sys.executable, "-S", "-c", probe], env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, timeout=60)
+    done = fresh_python("-S", "-c", probe)
     assert done.stdout.split("\n") == ["", "", ""], done.stderr
 
 
@@ -290,7 +279,7 @@ EXPORT_OWNERS = {
 }
 
 
-def test_lazy_exports_keep_the_public_surface():
+def test_lazy_exports_keep_the_public_surface(fresh_python):
     # in a fresh process, so that every read goes through the module __getattr__
     pkg = pathlib.Path(normapprox.__file__).parent
     submodules = sorted(p.stem for p in pkg.glob("*.py") if p.stem != "__init__")
@@ -323,9 +312,7 @@ def test_lazy_exports_keep_the_public_surface():
         assert pickle.loads(pickle.dumps(row)) is row
         print("ok")
         """)
-    done = subprocess.run([sys.executable, "-c", probe],
-                          env=dict(os.environ, PYTHONPATH=str(pkg.parent)),
-                          capture_output=True, text=True, timeout=60)
+    done = fresh_python("-c", probe)
     assert done.stdout == "ok\n", done.stderr
 
 

@@ -191,9 +191,10 @@ def list_approximations() -> tuple[ApproxDescriptor, ...]:
 
 def descriptor(approx_id: int) -> ApproxDescriptor:
     """The registry row of ``approx_id``; DomainError for an unknown id,
-    including one that is not an ``int`` (``True`` and ``1.0`` hash as 1)."""
-    d = _BY_INDEX.get(approx_id)
-    if d is None or type(approx_id) is not int:
+    including one that is not an ``int`` (``True`` and ``1.0`` hash as 1,
+    and a list hashes not at all)."""
+    d = _BY_INDEX.get(approx_id) if type(approx_id) is int else None
+    if d is None:
         raise DomainError(f"unknown approximation id {approx_id!r}")
     return d
 
@@ -213,8 +214,8 @@ def eval_cdf_extended(approx_id: int, z: float) -> float:
         z = float(z)
     except OverflowError:  # to_float, inlined on a hot path
         z = math.inf if z > 0 else -math.inf
-    d = _BY_INDEX.get(approx_id)
-    if d is None or type(approx_id) is not int:
+    d = _BY_INDEX.get(approx_id) if type(approx_id) is int else None
+    if d is None:
         descriptor(approx_id)  # raises
     if not 0.0 <= z < d.domain_max:  # z >= 0 here unless it is NaN
         if not math.isfinite(z):

@@ -20,8 +20,7 @@ from .metrics import (DEFAULT_INVERSE_GRID, GRID_A, GRID_B, GridSpec,
 from .reconcile import format_report, reconcile_phi9
 from .reference import ref_cdf
 
-_BENCH_MIN_EVALS = 1_000_000
-_BENCH_MAX_EVALS = 10_000_000  # ten times the minimum: over a minute per run
+_BENCH_EVALS = 1_000_000
 _WARMUP_EVALS = 20_000
 _FIG2_GRID = GridSpec(0.0, 4.8, 0.01)
 
@@ -69,10 +68,8 @@ def _render(fmt, command, meta, headers, rows, sections=None) -> str:
     return "\n\n".join(parts) + "\n"
 
 
-def _emit(args, command, meta, headers, rows, sections=None, path=None) -> int:
-    """Write the rendered table to ``path``, ``--output`` or stdout; exit code 0."""
-    text = _render(args.format, command, meta, headers, rows, sections)
-    path = path or args.output
+def _write(text, path) -> int:
+    """Write ``text`` to ``path``, or to stdout when there is none; exit code 0."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -81,16 +78,21 @@ def _emit(args, command, meta, headers, rows, sections=None, path=None) -> int:
     return 0
 
 
+def _emit(args, command, meta, headers, rows, sections=None, path=None) -> int:
+    """Write the rendered table to ``path``, ``--output`` or stdout; exit code 0."""
+    return _write(_render(args.format, command, meta, headers, rows, sections),
+                  path or args.output)
+
+
 def cmd_table2(args) -> int:
-    spec = GridSpec(args.grid_start, args.grid_stop, args.grid_step)
     headers = ["approx", "name", "mxae", "mae",
                "mxae_full", "mae_full", "mxae_location"]
     rows = []
     for d in list_approximations():
-        rep = compute_error_report(d.index, spec)
+        rep = compute_error_report(d.index, GRID_B)
         rows.append([f"phi{d.index}", d.name, f"{rep.mxae:.2e}", f"{rep.mae:.2e}",
                      rep.mxae, rep.mae, rep.mxae_location])
-    return _emit(args, "table2", _grid_meta(spec), headers, rows,
+    return _emit(args, "table2", _grid_meta(GRID_B), headers, rows,
                  [("accuracy summary (MXAE / MAE)", headers)])
 
 
@@ -164,29 +166,17 @@ def run_bench(evals: int) -> list[tuple[str, float]]:
 
 
 def cmd_bench(args) -> int:
-    if not _BENCH_MIN_EVALS <= args.evals <= _BENCH_MAX_EVALS:
-        raise DomainError(f"--evals must be from {_BENCH_MIN_EVALS} to "
-                          f"{_BENCH_MAX_EVALS} per subject")
     headers = ["subject", "evaluations", "wall_s", "per_eval_ns",
                "wall_time_full", "per_eval_full"]
-    rows = [[subject, args.evals, f"{wall:.4f}",
-             f"{wall / args.evals * 1e9:.1f}", wall, wall / args.evals]
-            for subject, wall in run_bench(args.evals)]
-    return _emit(args, "bench", {"evaluations": args.evals},
+    rows = [[subject, _BENCH_EVALS, f"{wall:.4f}",
+             f"{wall / _BENCH_EVALS * 1e9:.1f}", wall, wall / _BENCH_EVALS]
+            for subject, wall in run_bench(_BENCH_EVALS)]
+    return _emit(args, "bench", {"evaluations": _BENCH_EVALS},
                  headers, rows, [("evaluation throughput", headers)])
 
 
 def cmd_reconcile(args) -> int:
-    report = reconcile_phi9(GridSpec(args.grid_start, args.grid_stop, args.grid_step))
-    path = args.output or "phi9_reconciliation.txt"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_report(report))
-    sel = report.selected_report
-    print(f"selected: {report.selected}")
-    print(f"selected mxae: {sel.mxae:.6e} at z = {sel.mxae_location!r} "
-          f"(gate {'passed' if report.gate_passed else 'failed'})")
-    print(f"report written to {path}")
-    return 0
+    return _write(format_report(reconcile_phi9()), args.output)
 
 
 def cmd_eval(args) -> int:
@@ -199,12 +189,6 @@ def cmd_invert(args) -> int:
     headers = ["p", "z"]
     rows = [[p, quantile_approx(args.inverse, p)] for p in args.values]
     return _emit(args, "invert", {"inverse": args.inverse}, headers, rows)
-
-
-def _add_grid_flags(sp, default: GridSpec) -> None:
-    sp.add_argument("--grid-start", type=float, default=default.start, metavar="REAL")
-    sp.add_argument("--grid-stop", type=float, default=default.stop, metavar="REAL")
-    sp.add_argument("--grid-step", type=float, default=default.step, metavar="REAL")
 
 
 def _add_io_flags(sp, default_format="markdown") -> None:
@@ -221,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("table2", help="MXAE/MAE summary for phi1..phi9")
-    _add_grid_flags(sp, GRID_B)
     _add_io_flags(sp)
     sp.set_defaults(func=cmd_table2)
 
@@ -235,12 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_curves)
 
     sp = sub.add_parser("bench", help="per-evaluation timing of phi1..phi9 and the oracle")
-    sp.add_argument("--evals", type=int, default=_BENCH_MIN_EVALS)
     _add_io_flags(sp)
     sp.set_defaults(func=cmd_bench)
 
     sp = sub.add_parser("reconcile", help="score the phi9 coefficient variants")
-    _add_grid_flags(sp, GRID_B)
     sp.add_argument("--output", default=None, metavar="PATH")
     sp.set_defaults(func=cmd_reconcile)
 

@@ -64,8 +64,8 @@ def quantile_approx(approx_id: int, p: float) -> float:
     reflected through z(p) = -z(1-p).  DomainError for a p outside (0, 1)
     or too close to either end to place, and for an unknown id, including
     one that is not an ``int``."""
-    fn = _KERNELS.get(approx_id)
-    if fn is None or type(approx_id) is not int:
+    fn = _KERNELS.get(approx_id) if type(approx_id) is int else None
+    if fn is None:
         raise DomainError(f"unknown quantile approximation id {approx_id!r}")
     if 0.5 <= p < 1.0:  # compared raw, so a Decimal p is placed exactly
         q = float(p)

@@ -31,7 +31,7 @@ from .errors import DomainError, Record, to_float
 from .inverse import quantile_approx
 from .reference import ref_cdf
 
-MAX_GRID_POINTS = 1_000_000  # 200 x GRID_B; bounds what a CLI grid allocates
+MAX_GRID_POINTS = 1_000_000  # 200 x GRID_B; bounds what one library grid allocates
 _MAX_CACHED_REPORTS = 16  # phi9 readings kept per grid, and scored per kernel
 
 
@@ -97,10 +97,11 @@ class InverseRow(Record):
 # (abscissae, oracle values, phi9 reports) of a grid.  A 1,000,000-point
 # entry holds 16 MB, so two entries bound a process to about 32 MB.  The
 # reports dict maps a reading's k to its ErrorReport and holds at most
-# _MAX_CACHED_REPORTS, a few hundred bytes each.  Each CLI command caches at
-# most one grid, and every artefact command run in one process caches exactly
-# two (GRID_B for table2 and reconcile, GRID_A for curves; inverse_table does
-# not cache), so none refills and DEFAULT_PHI9 is scored once on GRID_B.
+# _MAX_CACHED_REPORTS, a few hundred bytes each.  The CLI scores only the
+# published grids, GRID_B for table2 and reconcile and GRID_A for curves
+# (inverse_table does not cache), so every artefact command run in one
+# process fills exactly these two: none refills and DEFAULT_PHI9 is scored
+# once on GRID_B.
 @lru_cache(maxsize=2)
 def _ref_values(spec: GridSpec) -> tuple[array, array, dict]:
     pts = array("d", spec.points())

@@ -76,7 +76,6 @@ GOLDEN_RUNS = [
     ("table2-markdown", "table2", "table2.md"),
     ("table34", "table34 --format csv", "table34.csv"),
     ("reconcile", "reconcile", "reconcile.txt"),
-    ("reconcile-grid-a", "reconcile --grid-stop 4 --grid-step 0.01", "reconcile_grid_a.txt"),
     ("curves-phi9", "curves --approx 9 --format csv", "figure1_phi9.csv"),
     # phi4's exponent has z**3
     ("curves-phi4", "curves --approx 4 --format csv", "figure1_phi4.csv"),

@@ -185,8 +185,9 @@ def test_lin_domain_edge_is_hard_error():
 
 
 # True, 1.0, 3+0j and 9.0 hash and compare equal to a known id, but are not
-# ints; 9.0 also equals compute_error_report's phi9 branch, taken after lookup
-@pytest.mark.parametrize("bad_id", [0, 10, -3, True, 1.0, 3 + 0j, 9.0])
+# ints; 9.0 also equals compute_error_report's phi9 branch, taken after lookup.
+# [1] and {} do not hash, so a lookup before the type test raised TypeError
+@pytest.mark.parametrize("bad_id", [0, 10, -3, True, 1.0, 3 + 0j, 9.0, [1], {}])
 def test_unknown_id_rejected(bad_id):
     for call in (partial(eval_cdf_extended, bad_id, 1.0), partial(descriptor, bad_id),
                  partial(compute_error_report, bad_id, GRID_A),

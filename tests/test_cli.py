@@ -1,27 +1,25 @@
 """End-to-end CLI behaviour: formats, exit codes, file outputs."""
 
-import argparse
 import collections
 import contextlib
 import csv
 import io
 import json
 import math
-import os
 import re
-import tempfile
 import textwrap
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import normapprox
-from normapprox import (GRID_A, GRID_B, DomainError, ErrorReport, GridSpec,
-                        compute_error_report, inverse_table, quantile_approx)
+from normapprox import (GRID_A, GRID_B, ErrorReport, compute_error_report,
+                        inverse_table, quantile_approx)
 from normapprox import cli
 from normapprox.cli import build_parser, main
 from goldens import GOLDEN, GOLDEN_RUNS, golden_argv
+from test_metrics import _EXTREME_FLOATS
 
 
 def run(capsys, *argv):
@@ -88,37 +86,6 @@ def test_table2_csv_round_trips(tmp_path, capsys):
         assert float(row[i_ma]) == rep.mae
 
 
-def test_table2_grid_override(capsys):
-    code, out, _ = run(capsys, "table2", "--grid-stop", "4", "--grid-step", "0.01",
-                       "--format", "json")
-    assert code == 0
-    obj = json.loads(out)
-    assert obj["meta"]["grid"]["count"] == 401
-    phi1 = obj["rows"][0]
-    assert phi1["mxae_full"] == compute_error_report(1, GRID_A).mxae
-
-
-@pytest.mark.parametrize("flags", [
-    ["--grid-stop", "9.5", "--grid-step", "0.5"],
-    # a step longer than the span would score z = 0 alone
-    ["--grid-stop", "1e-7", "--grid-step", "1"],
-], ids=["lin-pole", "step-exceeds-span"])
-def test_table2_rejects_lin_breaking_grid(capsys, flags):
-    code, out, err = run(capsys, "table2", *flags)
-    assert code == 2
-    assert out == ""
-    assert "error" in err.lower()
-
-
-@pytest.mark.parametrize("flags", [["--grid-step", "1e-9"], ["--grid-step", "1e-320"],
-                                   ["--grid-start=-1e308", "--grid-stop", "1e308"]])
-def test_table2_rejects_oversized_grid(capsys, flags):
-    code, out, err = run(capsys, "table2", *flags)
-    assert code == 2
-    assert out == ""
-    assert "1,000,000 points" in err
-
-
 def test_table34_markdown_sections(capsys):
     code, out, _ = run(capsys, "table34")
     assert code == 0
@@ -128,25 +95,31 @@ def test_table34_markdown_sections(capsys):
     assert any("1.1989" in ln for ln in body)
 
 
-@pytest.mark.parametrize("command", ["table34", "curves"])
-def test_table34_and_curves_help_offers_no_grid(capsys, command):
-    # they print the published grids; other grids go through the library:
-    # inverse_table(GridSpec(...).points()) and error_curve(i, GridSpec(...))
+@pytest.mark.parametrize("command", ["table2", "table34", "curves", "bench", "reconcile"])
+def test_commands_help_offers_no_sizing_flag(capsys, command):
+    # they print the published grids and bench a fixed count; other grids go
+    # through the library: compute_error_report(i, GridSpec(...)),
+    # reconcile_phi9(GridSpec(...)), inverse_table(GridSpec(...).points())
+    # and error_curve(i, GridSpec(...))
     code, out, _ = run(capsys, command, "-h")
     assert code == 0
-    assert "--grid-" not in out
-    assert "--format" in out and "--output" in out
+    assert "--grid-" not in out and "--evals" not in out
+    assert "--output" in out
+    assert ("--format" in out) == (command != "reconcile")
 
 
-@pytest.mark.parametrize("command", ["table34", "curves"])
-@pytest.mark.parametrize("flag", ["--grid-start", "--grid-stop", "--grid-step"])
-def test_table34_and_curves_reject_grid_flags_before_any_output(tmp_path, capsys,
-                                                                 command, flag):
+@pytest.mark.parametrize("command, flag, value", [
+    *((command, flag, "0.1") for command in ("table2", "table34", "curves", "reconcile")
+      for flag in ("--grid-start", "--grid-stop", "--grid-step")),
+    ("bench", "--evals", "2000000"),
+])
+def test_commands_reject_sizing_flags_before_any_output(tmp_path, capsys,
+                                                        command, flag, value):
     out_path = tmp_path / "out"
-    code, out, err = run(capsys, command, flag, "0.1", "--output", str(out_path))
+    code, out, err = run(capsys, command, flag, value, "--output", str(out_path))
     assert code == 2
     assert out == ""
-    assert f"unrecognized arguments: {flag} 0.1\n" in err
+    assert f"unrecognized arguments: {flag} {value}\n" in err
     assert not out_path.exists()
 
 
@@ -188,13 +161,12 @@ def test_parser_is_built_once():
 
 
 def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys):
-    # a grid override on one call must not leak into the next call's defaults
-    code, out, _ = run(capsys, "table2", "--grid-stop", "2", "--grid-step", "0.5",
-                       "--format", "csv")
-    assert code == 0 and len(out.splitlines()) == 10
+    # a format and an output on one call must not leak into the next call's defaults
     path = tmp_path / "table2.csv"
     assert run(capsys, "table2", "--format", "csv", "--output", str(path))[0] == 0
-    assert path.read_bytes() == (GOLDEN / "table2.csv").read_bytes()
+    code, out, _ = run(capsys, "table2")
+    assert code == 0
+    assert out.encode() == (GOLDEN / "table2.md").read_bytes()
 
 
 def test_curves_writes_both_figures(tmp_path, capsys):
@@ -228,20 +200,6 @@ def test_curves_rejects_unknown_id(capsys):
     assert run(capsys, "curves", "--approx", "12")[0] == 2
 
 
-def test_bench_enforces_minimum_evaluations(capsys):
-    code, _, err = run(capsys, "bench", "--evals", "1000")
-    assert code == 2
-    assert "1000000" in err
-
-
-def test_bench_caps_evaluations(capsys):
-    # rejected by validation; nothing of the rejected size is run or built
-    code, out, err = run(capsys, "bench", "--evals", "10000001")
-    assert code == 2
-    assert out == ""
-    assert "10000000" in err
-
-
 def test_run_bench_times_every_subject_over_warmup_and_evals(monkeypatch):
     calls = collections.Counter()
     extended, oracle = cli.eval_cdf_extended, cli.ref_cdf
@@ -265,33 +223,26 @@ def test_run_bench_times_every_subject_over_warmup_and_evals(monkeypatch):
 
 def test_reconcile_writes_report(tmp_path, capsys):
     path = tmp_path / "rec.txt"
-    code, out, _ = run(capsys, "reconcile", "--grid-stop", "4", "--grid-step", "0.01",
-                       "--output", str(path))
-    assert code == 0
-    assert "selected: k3shift-k5minus-k8shift" in out
-    assert "e-" in out  # mxae printed in scientific notation
+    code, out, _ = run(capsys, "reconcile", "--output", str(path))
+    assert (code, out) == (0, "")
     text = path.read_text()
     assert text.count("\n") >= 20
-    assert "selected" in text
+    assert "selected: k3shift-k5minus-k8shift\n" in text
 
 
-def test_reconcile_defaults_to_a_report_in_the_working_directory(tmp_path, capsys,
-                                                                monkeypatch):
-    grid = ["--grid-stop", "1", "--grid-step", "0.1"]
-    explicit = tmp_path / "explicit.txt"
-    assert run(capsys, "reconcile", *grid, "--output", str(explicit))[0] == 0
+def test_reconcile_without_output_prints_the_report(tmp_path, capsys, monkeypatch):
+    # as every table command does: stdout, and no file in the working directory
     monkeypatch.chdir(tmp_path)
-    code, out, _ = run(capsys, "reconcile", *grid)
-    assert code == 0
-    assert out.endswith("report written to phi9_reconciliation.txt\n")
-    assert (tmp_path / "phi9_reconciliation.txt").read_bytes() == explicit.read_bytes()
+    code, out, err = run(capsys, "reconcile")
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / "reconcile.txt").read_bytes()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_reconcile_unwritable_path_is_io_error(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("plain file")
-    code, _, err = run(capsys, "reconcile", "--grid-stop", "4", "--grid-step", "0.01",
-                       "--output", str(blocker / "report.txt"))
+    code, _, err = run(capsys, "reconcile", "--output", str(blocker / "report.txt"))
     assert code == 3
     assert "i/o" in err.lower()
 
@@ -354,12 +305,6 @@ def test_invert_names_the_domain_when_reflection_fails(capsys, p):
     assert "1 - p rounds to 1" in err
 
 
-_EXTREME_FLOATS = st.one_of(
-    st.floats(),
-    st.sampled_from([1e308, -1e308, 5e-324, -5e-324, 2.2250738585072014e-308,
-                     0.0, -0.0, math.nan, math.inf, -math.inf]))
-
-
 @given(st.integers(1, 9), st.integers(1, 3), _EXTREME_FLOATS)
 @settings(max_examples=300, deadline=None)
 def test_eval_and_invert_exit_cleanly_on_any_float(approx, inverse, x):
@@ -368,47 +313,6 @@ def test_eval_and_invert_exit_cleanly_on_any_float(approx, inverse, x):
         codes = {main(["eval", "--approx", str(approx), "--", repr(x)]),
                  main(["invert", "--inverse", str(inverse), "--", repr(x)])}
     assert codes <= {0, 2, 3}
-
-
-@st.composite
-def _grid_bounds(draw):
-    start, stop, step = (draw(_EXTREME_FLOATS) for _ in range(3))
-    if draw(st.booleans()):
-        # three random floats almost never make a valid grid, so half the
-        # examples build one from a start, a step and a point count
-        start, step = abs(start), abs(step)
-        stop = start + draw(st.integers(1, 2000)) * step
-    return start, stop, step
-
-
-def _commands_with(option):
-    """The subcommands whose parser accepts ``option``."""
-    subparsers = next(a for a in build_parser()._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    return sorted(name for name, sp in subparsers.choices.items()
-                  if option in sp._option_string_actions)
-
-
-@given(st.sampled_from(_commands_with("--grid-start")), _grid_bounds(),
-       st.sampled_from(["csv", "json", "markdown"]))
-@settings(max_examples=100, deadline=None)
-def test_grid_commands_exit_cleanly_on_any_grid(command, bounds, fmt):
-    start, stop, step = bounds
-    try:
-        count = GridSpec(start, stop, step).count
-    except DomainError:
-        count = 0  # the command exits 2 before it builds a point
-    assume(count <= 2000)
-    argv = [command, f"--grid-start={start!r}", f"--grid-stop={stop!r}",
-            f"--grid-step={step!r}"]
-    if command != "reconcile":  # reconcile writes only its text report
-        argv.append(f"--format={fmt}")
-    out = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv + ["--output", os.path.join(tmp, "out")])
-    assert code in {0, 2, 3}
-    assert code == 0 or out.getvalue() == ""
 
 
 def test_unknown_format_exit_2(capsys):
@@ -424,11 +328,10 @@ def test_cli_commands_leave_scipy_unimported(tmp_path, fresh_python):
     # command may load scipy or numpy, which would cost most of a fresh
     # process's start-up, or mpmath, the test suite's own reference route
     # (bench is left out: it needs a million evaluations per subject)
-    argvs = [["table2", "--grid-stop", "1", "--grid-step", "0.1"],
+    argvs = [["table2"],
              ["table34"],
              ["curves", "--output", str(tmp_path)],
-             ["reconcile", "--grid-stop", "1", "--grid-step", "0.1",
-              "--output", str(tmp_path / "report.txt")],
+             ["reconcile", "--output", str(tmp_path / "report.txt")],
              ["eval", "--", "-1.5", "0", "1.5"],
              ["invert", "0.25", "0.975"]]
     script = textwrap.dedent(f"""

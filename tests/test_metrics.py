@@ -1,10 +1,12 @@
 """Grid construction, error reports, curves, and the quantile table."""
 
+import contextlib
 import math
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from normapprox import (DEFAULT_PHI9, PHI9_VARIANTS, DomainError, GRID_A, GRID_B,
@@ -14,6 +16,7 @@ from normapprox import (DEFAULT_PHI9, PHI9_VARIANTS, DomainError, GRID_A, GRID_B
                         phi9_linear_coefficient, reconcile_phi9, ref_cdf)
 from normapprox import cli, metrics
 from normapprox.metrics import DEFAULT_INVERSE_GRID, MAX_GRID_POINTS, _ref_values
+from normapprox.reconcile import format_report
 
 
 def test_grid_a_has_401_points():
@@ -307,6 +310,37 @@ def test_phi9_kernel_binds_every_coefficient_as_a_default():
     # the logistic's constants only: no coefficient went through source text
     assert set(kernel.__code__.co_consts) <= {None, 0.0, 1.0}
     assert {c for k in ks for c in k} <= set(kernel.__defaults__)
+
+
+_EXTREME_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([1e308, -1e308, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     0.0, -0.0, math.nan, math.inf, -math.inf]))
+
+
+@st.composite
+def _grid_bounds(draw):
+    start, stop, step = (draw(_EXTREME_FLOATS) for _ in range(3))
+    if draw(st.booleans()):
+        # three random floats almost never make a valid grid, so half the
+        # examples build one from a start, a step and a point count
+        start, step = abs(start), abs(step)
+        stop = start + draw(st.integers(1, 2000)) * step
+    return start, stop, step
+
+
+@given(_grid_bounds())
+@settings(max_examples=100, deadline=None)
+def test_any_grid_gives_a_report_or_a_domain_error(bounds):
+    try:
+        spec = GridSpec(*bounds)
+    except DomainError:
+        return  # rejected before a point is built
+    assume(spec.count <= 2000)
+    calls = [partial(compute_error_report, d.index, spec) for d in list_approximations()]
+    for call in [*calls, lambda: format_report(reconcile_phi9(spec))]:
+        with contextlib.suppress(DomainError):
+            call()
 
 
 def test_oracle_cache_holds_two_grids():

@@ -101,6 +101,9 @@ def test_negative_zero_grid_start_prints_as_zero():
 def test_reconcile_on_coarser_grid_same_winner():
     report = reconcile_phi9(GridSpec(0.0, 4.0, 0.01))
     assert report.selected == DEFAULT_PHI9.variant_tag
+    sel = report.selected_report
+    assert (sel.mxae, sel.mxae_location, sel.mae) == \
+        (0.00355014963603717, 2.57, 0.0007275722608033125)
 
 
 @pytest.mark.parametrize("spec, winner", [

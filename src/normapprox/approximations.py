@@ -212,8 +212,8 @@ def eval_cdf_extended(approx_id: int, z: float) -> float:
         z = -z
     try:
         z = float(z)
-    except OverflowError:  # to_float, inlined on a hot path
-        z = math.inf if z > 0 else -math.inf
+    except OverflowError:  # to_float, inlined on a hot path; z > 0 here
+        z = math.inf
     d = _BY_INDEX.get(approx_id) if type(approx_id) is int else None
     if d is None:
         descriptor(approx_id)  # raises

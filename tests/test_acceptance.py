@@ -243,6 +243,9 @@ def test_c7_bench_command(tmp_path):
         assert r["evaluations"] >= 10 ** 6
         assert r["per_eval_full"] > 0.0
         assert r["per_eval_full"] == r["wall_time_full"] / r["evaluations"]
+        # the display columns round the full ones
+        assert r["wall_s"] == f"{r['wall_time_full']:.4f}"
+        assert r["per_eval_ns"] == f"{r['per_eval_full'] * 1e9:.1f}"
     per = {r["subject"]: r["per_eval_full"] for r in rows}
     # expectation, not a hard assert, and of per-call cost, not of kernels:
     # phi1 runs through partial(eval_cdf_extended, 1), paying the partial, the

@@ -6,16 +6,14 @@ import csv
 import io
 import json
 import math
-import re
-import textwrap
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import normapprox
-from normapprox import (GRID_A, GRID_B, ErrorReport, compute_error_report,
-                        inverse_table, quantile_approx)
+from normapprox import GRID_A, ErrorReport, compute_error_report, quantile_approx
 from normapprox import cli
 from normapprox.cli import build_parser, main
 from goldens import GOLDEN, GOLDEN_RUNS, golden_argv
@@ -26,32 +24,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
-
-
-def test_table2_markdown_default(capsys):
-    code, out, _ = run(capsys, "table2")
-    assert code == 0
-    lines = [ln for ln in out.splitlines() if ln.startswith("| phi")]
-    assert len(lines) == 9
-    phi3 = next(ln for ln in lines if ln.startswith("| phi3"))
-    # three-significant-digit scientific display, numerically at the
-    # published values (2.10e-3 / 9.78e-4 within 2%)
-    assert "2.10e-03" in phi3
-    cells = [c.strip() for c in phi3.strip("|").split("|")]
-    assert re.fullmatch(r"\d\.\d\de-\d\d", cells[3])
-    assert float(cells[5]) == pytest.approx(9.78e-4, rel=0.02)
-
-
-def test_table2_json_meta(capsys):
-    code, out, _ = run(capsys, "table2", "--format", "json")
-    assert code == 0
-    obj = json.loads(out)
-    assert obj["meta"]["command"] == "table2"
-    assert obj["meta"]["grid"]["count"] == 5001
-    assert obj["meta"]["version"]
-    assert obj["meta"]["phi9_variant"] == "k3shift-k5minus-k8shift"
-    assert len(obj["rows"]) == 9
-    assert obj["rows"][0]["approx"] == "phi1"
 
 
 def test_json_rejects_nan_instead_of_printing_it(capsys, monkeypatch):
@@ -66,33 +38,6 @@ def test_json_rejects_nan_instead_of_printing_it(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "JSON" in err
-
-
-def test_table2_csv_round_trips(tmp_path, capsys):
-    path = tmp_path / "t2.csv"
-    code, _, _ = run(capsys, "table2", "--format", "csv", "--output", str(path))
-    assert code == 0
-    text = path.read_text()
-    assert "\r" not in text  # LF endings only
-    rows = list(csv.reader(text.splitlines()))
-    header, data = rows[0], rows[1:]
-    assert len(data) == 9
-    i_mx = header.index("mxae_full")
-    i_ma = header.index("mae_full")
-    for row in data:
-        idx = int(row[0].removeprefix("phi"))
-        rep = compute_error_report(idx, GRID_B)
-        assert float(row[i_mx]) == rep.mxae
-        assert float(row[i_ma]) == rep.mae
-
-
-def test_table34_markdown_sections(capsys):
-    code, out, _ = run(capsys, "table34")
-    assert code == 0
-    assert "### quantile approximations" in out
-    assert "### signed differences" in out
-    body = [ln for ln in out.splitlines() if ln.startswith("| 1.2")]
-    assert any("1.1989" in ln for ln in body)
 
 
 @pytest.mark.parametrize("command", ["table2", "table34", "curves", "bench", "reconcile"])
@@ -127,19 +72,6 @@ def test_output_is_deterministic(capsys):
     first = run(capsys, "table2", "--format", "csv")
     second = run(capsys, "table2", "--format", "csv")
     assert first == second
-
-
-def test_table34_csv_round_trips(tmp_path, capsys):
-    path = tmp_path / "t34.csv"
-    code, _, _ = run(capsys, "table34", "--format", "csv", "--output", str(path))
-    assert code == 0
-    rows = list(csv.reader(path.read_text().splitlines()))
-    header, data = rows[0], rows[1:]
-    assert len(data) == 13
-    expected = inverse_table()
-    for row, exp in zip(data, expected):
-        assert float(row[header.index("p_full")]) == exp.p
-        assert float(row[header.index("delta3_full")]) == exp.delta3
 
 
 @pytest.mark.parametrize("argv, golden", [row[1:] for row in GOLDEN_RUNS],
@@ -200,6 +132,21 @@ def test_curves_rejects_unknown_id(capsys):
     assert run(capsys, "curves", "--approx", "12")[0] == 2
 
 
+@pytest.mark.parametrize("argv, flag, ids", [
+    (["curves", "--output", "{tmp}"], "--approx", range(1, 10)),
+    (["eval", "0.5"], "--approx", range(1, 10)),
+    (["invert", "0.5"], "--inverse", range(1, 4)),
+], ids=["curves", "eval", "invert"])
+def test_id_flags_take_exactly_the_known_ids(tmp_path, capsys, argv, flag, ids):
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    for i in (ids[0], ids[-1]):
+        assert run(capsys, *argv, flag, str(i))[0] == 0
+    for i in (ids[0] - 1, ids[-1] + 1):
+        code, out, err = run(capsys, *argv, flag, str(i))
+        assert (code, out) == (2, "")
+        assert f"argument {flag}: invalid choice: {i}" in err
+
+
 def test_run_bench_times_every_subject_over_warmup_and_evals(monkeypatch):
     calls = collections.Counter()
     extended, oracle = cli.eval_cdf_extended, cli.ref_cdf
@@ -214,10 +161,13 @@ def test_run_bench_times_every_subject_over_warmup_and_evals(monkeypatch):
 
     monkeypatch.setattr(cli, "eval_cdf_extended", counted_extended)
     monkeypatch.setattr(cli, "ref_cdf", counted_oracle)
+    t0 = time.perf_counter()
     results = cli.run_bench(1000)
+    span = time.perf_counter() - t0
     labels = [f"phi{i}" for i in range(1, 10)] + ["oracle"]
     assert [label for label, _ in results] == labels
-    assert all(wall > 0.0 for _, wall in results)
+    # each subject's time lies within the span of the whole call
+    assert all(0.0 < wall <= span for _, wall in results)
     assert calls == dict.fromkeys(labels, 1000 + cli._WARMUP_EVALS)
 
 
@@ -321,33 +271,6 @@ def test_unknown_format_exit_2(capsys):
 
 def test_missing_subcommand_exit_2(capsys):
     assert run(capsys)[0] == 2
-
-
-def test_cli_commands_leave_scipy_unimported(tmp_path, fresh_python):
-    # the package imports only the standard library: neither it nor any
-    # command may load scipy or numpy, which would cost most of a fresh
-    # process's start-up, or mpmath, the test suite's own reference route
-    # (bench is left out: it needs a million evaluations per subject)
-    argvs = [["table2"],
-             ["table34"],
-             ["curves", "--output", str(tmp_path)],
-             ["reconcile", "--output", str(tmp_path / "report.txt")],
-             ["eval", "--", "-1.5", "0", "1.5"],
-             ["invert", "0.25", "0.975"]]
-    script = textwrap.dedent(f"""
-        import contextlib, io, json, sys
-        import normapprox
-        from normapprox.cli import main
-        with contextlib.redirect_stdout(io.StringIO()):
-            codes = [main(argv) for argv in {argvs!r}]
-        print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0]
-                                        in ("scipy", "numpy", "mpmath"))]))
-    """)
-    done = fresh_python("-c", script, cwd=tmp_path, timeout=120)
-    assert done.returncode == 0, done.stderr
-    codes, foreign_modules = json.loads(done.stdout.splitlines()[-1])
-    assert codes == [0] * len(argvs)
-    assert foreign_modules == []
 
 
 @pytest.mark.parametrize("argv, code, stderr", [

@@ -15,15 +15,8 @@ from normapprox import (DEFAULT_PHI9, PHI9_VARIANTS, DomainError, GRID_A, GRID_B
                         list_approximations, phi9_error_reports,
                         phi9_linear_coefficient, reconcile_phi9, ref_cdf)
 from normapprox import cli, metrics
-from normapprox.metrics import DEFAULT_INVERSE_GRID, MAX_GRID_POINTS, _ref_values
+from normapprox.metrics import MAX_GRID_POINTS, _ref_values
 from normapprox.reconcile import format_report
-
-
-def test_grid_a_has_401_points():
-    pts = GRID_A.points()
-    assert len(pts) == GRID_A.count == 401
-    assert pts[0] == 0.0
-    assert pts[-1] == pytest.approx(4.0, abs=1e-12)
 
 
 def test_grid_b_has_5001_points():
@@ -33,7 +26,7 @@ def test_grid_b_has_5001_points():
 
 
 def test_degenerate_grid_rejected():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="stop must exceed start"):
         GridSpec(0.0, 0.0, 0.1)
 
 
@@ -71,32 +64,18 @@ def test_grid_at_the_point_cap_is_accepted():
     # a step longer than the span would leave a one-point grid at start
     (0.0, 1e-7, 1.0, "must not exceed"),
     (7.96, 9.0, 1e300, "must not exceed"),
-], ids=["incommensurate", "step-exceeds-tiny-span", "huge-step"])
+    # a ratio 1.0005e-6 past a whole number, just outside the 1e-6 tolerance
+    (0.0, 1.0000010005, 1.0, "evenly divide"),
+], ids=["incommensurate", "step-exceeds-tiny-span", "huge-step", "past-the-tolerance"])
 def test_incommensurate_step_rejected(start, stop, step, match):
     with pytest.raises(DomainError, match=match):
         GridSpec(start, stop, step)
-
-
-def test_error_report_phi5_grid_b():
-    rep = compute_error_report(5, GRID_B)
-    assert rep.mxae == pytest.approx(4.37e-5, rel=0.02)
-    assert rep.mae == pytest.approx(1.69e-5, rel=0.02)
-    assert rep.mxae >= rep.mae >= 0.0
-    assert rep.mxae_location in GRID_B.points()
 
 
 def test_error_report_is_deterministic():
     a = compute_error_report(7, GRID_A)
     b = compute_error_report(7, GRID_A)
     assert (a.mxae, a.mae, a.mxae_location) == (b.mxae, b.mae, b.mxae_location)
-
-
-def test_error_curve_consistency_with_report():
-    rep = compute_error_report(9, GRID_A)
-    curve = error_curve(9, GRID_A)
-    assert len(curve) == 401
-    assert curve[0] == (0.0, 0.0)
-    assert max(abs(d) for _, d in curve) == rep.mxae
 
 
 def test_error_curve_tocher_magnitude():
@@ -123,7 +102,9 @@ def test_argmax_tie_breaks_to_smallest_abscissa():
     # a(z) = -1e300 puts the CDF at 0 on the whole grid, and the oracle is
     # exactly 1.0 from 8.5 on, so 8.5, 9, 9.5 and 10 tie at an error of 1.0
     floor = Phi9Coefficients(k=(-1e300,) + (0.0,) * 16, variant_tag="floor")
-    rep = phi9_error_reports(GridSpec(8.0, 10.0, 0.5), [floor])[0]
+    spec = GridSpec(8.0, 10.0, 0.5)
+    assert spec.points() == [8.0, 8.5, 9.0, 9.5, 10.0]
+    rep = phi9_error_reports(spec, [floor])[0]
     assert rep.mxae == 1.0
     assert rep.mxae_location == 8.5
 
@@ -134,10 +115,13 @@ def test_coefficients_rejected_for_other_forms():
         compute_error_report(1, GRID_A, DEFAULT_PHI9)
 
 
-# the last grid overflows z**3 in phi4, phi6 and phi7, whose CDF is then 1.0
+# the third grid overflows z**3 in phi4, phi6 and phi7, whose CDF is then
+# 1.0; on the last, every exponent is below 1e-3, where the two arms of the
+# logistic round differently
 @pytest.mark.parametrize("approx_id, spec", [
     (d.index, spec)
-    for spec in (GRID_B, GridSpec(0.0, 6.0, 0.5), GridSpec(0.0, 2e103, 1e103))
+    for spec in (GRID_B, GridSpec(0.0, 6.0, 0.5), GridSpec(0.0, 2e103, 1e103),
+                 GridSpec(0.0, 5e-4, 5e-5))
     for d in list_approximations()
     if spec.start + (spec.count - 1) * spec.step < d.domain_max])
 def test_error_curve_equals_pointwise_evaluation(approx_id, spec):
@@ -356,24 +340,6 @@ def test_inverse_table_default_13_rows():
     assert rows[-1].z == pytest.approx(4.8, abs=1e-12)
 
 
-def test_inverse_table_row_zero_all_null():
-    r = inverse_table([0.0])[0]
-    assert (r.zhat1, r.zhat2, r.zhat3) == (0.0, 0.0, 0.0)
-    assert (r.delta1, r.delta2, r.delta3) == (0.0, 0.0, 0.0)
-
-
-def test_inverse_table_published_cells():
-    rows = {round(r.z, 1): r for r in inverse_table()}
-    assert rows[2.4].delta3 == pytest.approx(-0.01360, abs=1.001e-5)
-    assert rows[3.6].zhat3 == pytest.approx(3.5068, abs=1.001e-4)
-
-
-def test_inverse_table_p_full_precision():
-    r = inverse_table([0.4])[0]
-    assert r.p == ref_cdf(0.4)
-    assert r.delta1 == r.zhat1 - 0.4
-
-
 @pytest.mark.parametrize("z, match", [
     (-0.4, r"inverse_table requires a finite z >= 0, and z as a double is -0\.4$"),
     (math.inf, "inverse_table requires a finite z >= 0, and z as a double is inf$"),
@@ -384,8 +350,3 @@ def test_inverse_table_p_full_precision():
 def test_inverse_table_rejects_negative(z, match):
     with pytest.raises(DomainError, match=match):
         inverse_table([z])
-
-
-def test_default_inverse_grid_is_published_range():
-    assert DEFAULT_INVERSE_GRID.count == 13
-    assert math.isclose(DEFAULT_INVERSE_GRID.step, 0.4)

@@ -12,14 +12,6 @@ from normapprox.reconcile import (GATE_ARGMAX_TOL, TARGET_ARGMAX, TARGET_MXAE,
 FLAGGED = (2, 4, 7)  # zero-based positions of k3, k5, k8
 
 
-def test_eight_variants_in_fixed_order():
-    variants = PHI9_VARIANTS
-    assert len(variants) == 8
-    assert variants[0].variant_tag == "table-literal"
-    assert variants[2].variant_tag == "prose-literal"
-    assert len({v.variant_tag for v in variants}) == 8
-
-
 def test_variants_are_built_once():
     # the default is one of the variants, and reconcile scores those objects
     assert [v is DEFAULT_PHI9 for v in PHI9_VARIANTS].count(True) == 1
@@ -45,41 +37,6 @@ def test_variants_differ_only_at_flagged_positions():
         for i, (a, b) in enumerate(zip(v.k, K_TABULATED)):
             if i not in FLAGGED:
                 assert a == b
-
-
-def test_selection_on_default_grid(tmp_path):
-    report = reconcile_phi9()
-    assert len(report.variants) == 8
-    assert all(r.mxae > 0.0 and r.mxae < float("inf") for _, r in report.variants)
-
-    selected = report.selected_report
-    assert selected.mxae == min(r.mxae for _, r in report.variants)
-    # a tie between the selected and a distinct variant must be called out
-    worst_equal = [v.variant_tag for v, r in report.variants
-                   if r.mxae == selected.mxae and v.variant_tag != report.selected]
-    if worst_equal:
-        assert "error-insensitive" in report.notes
-
-    # the shipped default is the selected variant
-    assert report.selected == DEFAULT_PHI9.variant_tag
-    sel_variant = next(v for v, _ in report.variants if v.variant_tag == report.selected)
-    assert sel_variant.k == DEFAULT_PHI9.k
-
-    # no printed variant reproduces the published 4.43e-10; the report says so
-    assert not report.gate_passed
-    assert selected.mxae == pytest.approx(3.55e-3, rel=1e-2)
-    assert "best achieved" in report.notes
-
-    out = tmp_path / "report.txt"
-    out.write_text(format_report(report), encoding="utf-8")
-    text = out.read_text()
-    assert "gate_passed: no" in text
-    assert "table-literal" in text and "prose-literal" in text
-    assert text.count("\n") > 12  # key/value block plus the variant table
-
-
-def test_selection_is_deterministic():
-    assert reconcile_phi9().selected == reconcile_phi9().selected
 
 
 def test_equal_int_and_float_grids_print_alike():

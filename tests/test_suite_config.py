@@ -1,11 +1,17 @@
 """The pytest configuration in pyproject.toml keeps a run going past a failure,
-and the four by-design reds stay red."""
+the four by-design reds stay red, and tests/mutate.py still enumerates sound
+mutants."""
 
+import ast
+import io
 import pathlib
 import re
 import subprocess
 import sys
 import textwrap
+import tokenize
+
+import mutate
 
 PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -59,3 +65,28 @@ def test_ci_deselects_exactly_the_by_design_reds():
     # a drifted copy would run a by-design red in CI, or silently drop a green
     workflow = (PYPROJECT.parent / ".github/workflows/tests.yml").read_text()
     assert sorted(re.findall(r'--deselect "([^"]+)"', workflow)) == sorted(BY_DESIGN_REDS)
+
+
+def _tokens(source: bytes) -> list[tuple[int, str]]:
+    return [(t.type, t.string) for t in tokenize.tokenize(io.BytesIO(source).readline)]
+
+
+def test_mutation_runner_makes_one_token_edits_of_every_kind_in_every_module():
+    # python tests/mutate.py runs for about an hour, so nothing else would
+    # notice its enumerator rot
+    sources = {p.name: p.read_bytes() for p in mutate.SRC.glob("*.py")}
+    # the lines of each top-level statement, which compiles on its own
+    tops = {name: [(min([n.lineno] + [d.lineno for d in getattr(n, "decorator_list", ())]),
+                    n.end_lineno) for n in ast.parse(source).body]
+            for name, source in sources.items()}
+    found = mutate.mutants()
+    for m in found:
+        first, last = next(t for t in tops[m.module] if t[0] <= m.line <= t[1])
+        before, after = (b"".join(text.splitlines(True)[first - 1:last])
+                         for text in (sources[m.module], m.apply(sources[m.module])))
+        compile(after, m.id, "exec")
+        before, after = _tokens(before), _tokens(after)
+        assert len(before) == len(after), m.id
+        assert sum(a != b for a, b in zip(before, after)) == 1, m.id
+    assert {m.kind for m in found} == {*mutate.FLIPS, "int", "float"}
+    assert {m.module for m in found} == set(sources) - {"__init__.py"}

@@ -67,8 +67,8 @@ def reconcile_phi9(spec: GridSpec = GRID_B) -> ReconciliationReport:
 
 def format_report(report: ReconciliationReport) -> str:
     """Human-readable key/value and tabular rendering of a report."""
-    grid = report.variants[0][1].grid
     sel = report.selected_report
+    grid = sel.grid
     lines = [
         "phi9 coefficient reconciliation",
         "===============================",

@@ -94,6 +94,7 @@ def test_c3_table3_reproduction():
     assert not bad, "\n".join(bad)
 
 
+@pytest.mark.by_design_red
 def test_c4_table4_reproduction():
     rows = {round(r.z, 1): r for r in inverse_table()}
     bad = []
@@ -134,6 +135,7 @@ def test_c5_symmetry_invariant():
     assert worst <= 2e-16
 
 
+@pytest.mark.by_design_red
 def test_c5_quantile_round_trip():
     bad = []
     for i in range(13):
@@ -152,7 +154,8 @@ def test_c5_quantile_round_trip():
           "implementation returning these measured errors can be improved")
 
 
-@pytest.mark.parametrize("approx_id", range(1, 10))
+@pytest.mark.parametrize(
+    "approx_id", [*range(1, 9), pytest.param(9, marks=pytest.mark.by_design_red)])
 def test_c6_range_invariant(approx_id):
     grids = [GRID_A] if approx_id == 9 else [GRID_A, GRID_B]
     sat = []
@@ -212,6 +215,7 @@ def test_c6_z3_monotone_scan():
     assert ok
 
 
+@pytest.mark.by_design_red
 def test_c6_delta3_band_on_0_2():
     worst, worst_z = 0.0, 0.0
     for i in range(0, 2001):

@@ -23,14 +23,11 @@ _EXPORTS = {
     "Phi9Coefficients": "approximations",
     "ReconciliationReport": "reconcile",
     "compute_error_report": "metrics",
-    "d1_poly": "inverse",
     "error_curve": "metrics",
     "eval_cdf_extended": "approximations",
     "inverse_table": "metrics",
     "list_approximations": "approximations",
     "phi9_error_reports": "metrics",
-    "phi9_linear_coefficient": "approximations",
-    "polya_cdf": "inverse",
     "quantile_approx": "inverse",
     "reconcile_phi9": "reconcile",
     "ref_cdf": "reference",

@@ -114,23 +114,6 @@ def _horner(z: float, k: tuple[float, ...]) -> float:
                   + k7) * z + k6) * z + k5) * z + k4) * z + k3) * z + k2) * z + k1
 
 
-def phi9_linear_coefficient(z: float, coeffs: Phi9Coefficients | None = None) -> float:
-    """a(z) = sum_j k_j z^(j-1) by Horner; DomainError unless z is finite.
-
-    ``coeffs`` is a ``Phi9Coefficients`` reading, and only None selects
-    DEFAULT_PHI9; anything else raises TypeError.
-    """
-    z = to_float(z)
-    if not math.isfinite(z):
-        raise DomainError("phi9_linear_coefficient requires a finite abscissa")
-    if coeffs is None:
-        coeffs = DEFAULT_PHI9
-    elif not isinstance(coeffs, Phi9Coefficients):
-        raise TypeError("phi9_linear_coefficient requires Phi9Coefficients or None, "
-                        f"not {type(coeffs).__name__}")
-    return _horner(z, coeffs.k)
-
-
 class ApproxDescriptor(Record):
     """One approximation: identity, published accuracy, exponent, domain.
 

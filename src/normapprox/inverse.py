@@ -6,8 +6,8 @@ z(p) = -z(1-p):
 
 * id 1: the power-difference form of Schmeiser,
 * id 2: the tail-ratio power form of Shore,
-* id 3: inversion of the Polya CDF with the constant 2/pi replaced by the
-  p-dependent polynomial ``d1_poly``.
+* id 3: inversion of the Polya CDF 0.5*(1 + sqrt(1 - e^(-(2/pi) z^2))) with
+  2/pi replaced by ``_d1``, a published degree-8 polynomial in p.
 
 The forms are private unchecked kernels; ``quantile_approx`` checks p once
 and calls them directly.  Pure functions, no shared state.
@@ -15,7 +15,7 @@ and calls them directly.  Pure functions, no shared state.
 
 import math
 
-from .errors import DomainError, to_float
+from .errors import DomainError
 
 
 def _z1(p: float) -> float:
@@ -36,24 +36,6 @@ def _z3(p: float) -> float:
     u = 2.0 * (p - 0.5)
     t = -math.log(1.0 - u * u) / _d1(p)
     return math.sqrt(t) if t != 0.0 else 0.0
-
-
-def d1_poly(p: float) -> float:
-    """The degree-8 correction polynomial in p (even powers only above p^2,
-    exactly as published); positive on [0.5, 1)."""
-    p = to_float(p)  # a str p is accepted too
-    if not 0.5 <= p < 1.0:  # a p just below 1 may have rounded to 1.0
-        raise DomainError(f"d1_poly requires 0.5 <= p < 1, and p as a double is {p!r}")
-    return _d1(p)
-
-
-def polya_cdf(z: float) -> float:
-    """The invertible CDF approximation 0.5*(1 + sqrt(1 - e^(-(2/pi) z^2)))
-    that seeds quantile form 3; z >= 0."""
-    z = to_float(z)
-    if not math.isfinite(z) or z < 0.0:
-        raise DomainError(f"polya_cdf requires a finite z >= 0, and z as a double is {z!r}")
-    return 0.5 * (1.0 + math.sqrt(1.0 - math.exp(-(2.0 / math.pi) * z * z)))
 
 
 _KERNELS = {1: _z1, 2: _z2, 3: _z3}

@@ -163,7 +163,8 @@ def phi9_error_reports(spec: GridSpec, readings) -> tuple[ErrorReport, ...]:
     cached report, the same object; the rest are scored in one pass over
     ``spec`` per _MAX_CACHED_REPORTS of them, and are kept while the grid holds
     fewer than _MAX_CACHED_REPORTS, so a loop over many readings cannot grow
-    the cache.
+    the cache.  Each pass is reduced to its reports before the next runs, so
+    memory grows with the grid, not with the number of readings.
 
     Each pass runs the straight-line kernel ``_phi9_kernel`` builds for its
     readings: at every point it runs each Horner step that readings share
@@ -178,17 +179,18 @@ def phi9_error_reports(spec: GridSpec, readings) -> tuple[ErrorReport, ...]:
             raise TypeError("phi9_error_reports requires Phi9Coefficients readings, "
                             f"not {type(r).__name__}")
     pts, refs, reports = _checked_refs(9, spec)
-    # 8 bytes a point per unscored reading, where a float list would take 32
-    errs = {r.k: array("d") for r in readings if r.k not in reports}
-    ks = tuple(errs)
+    ks = tuple(dict.fromkeys(r.k for r in readings if r.k not in reports))
+    fresh = {}  # k -> the report of a reading scored here
     for i in range(0, len(ks), _MAX_CACHED_REPORTS):
         chunk = ks[i:i + _MAX_CACHED_REPORTS]
-        _phi9_kernel(chunk)(pts, refs, *(errs[k].append for k in chunk))
-    for k, err in errs.items():
-        errs[k] = _report(spec, pts, err)
-        if len(reports) < _MAX_CACHED_REPORTS:
-            reports[k] = errs[k]
-    return tuple(reports.get(r.k) or errs[r.k] for r in readings)
+        # 8 bytes a point per reading, where a float list would take 32
+        errs = [array("d") for _ in chunk]
+        _phi9_kernel(chunk)(pts, refs, *(err.append for err in errs))
+        for k, err in zip(chunk, errs):
+            fresh[k] = _report(spec, pts, err)
+            if len(reports) < _MAX_CACHED_REPORTS:
+                reports[k] = fresh[k]
+    return tuple(reports.get(r.k) or fresh[r.k] for r in readings)
 
 
 def _phi9_kernel(ks: tuple[tuple[float, ...], ...]):

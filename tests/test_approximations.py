@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from normapprox import (DEFAULT_PHI9, DomainError, GRID_A, GridSpec,
                         Phi9Coefficients, compute_error_report, error_curve,
                         eval_cdf_extended, inverse_table, list_approximations,
-                        phi9_error_reports, phi9_linear_coefficient,
-                        polya_cdf, quantile_approx, ref_cdf, ref_quantile)
-from normapprox.approximations import K_TABULATED, _horner, descriptor
+                        phi9_error_reports, quantile_approx, ref_cdf,
+                        ref_quantile)
+from normapprox.approximations import _horner, descriptor
 from goldens import TABLE2
+from test_metrics import _linear_coefficient
 
 ALL_IDS = range(1, 10)
 
@@ -80,27 +81,18 @@ def test_boiroju_rao_misses_half_at_zero():
 
 
 def test_phi9_coefficient_at_zero():
-    assert phi9_linear_coefficient(0.0) == DEFAULT_PHI9.k[0] == 1.5957691187
+    assert _horner(0.0, DEFAULT_PHI9.k) == DEFAULT_PHI9.k[0] == 1.5957691187
 
 
 def test_phi9_coefficient_at_one_is_sum():
     # Horner at 1 against an exact sum of the coefficients
-    assert phi9_linear_coefficient(1.0) == pytest.approx(
-        math.fsum(DEFAULT_PHI9.k), abs=1e-15)
+    assert _horner(1.0, DEFAULT_PHI9.k) == pytest.approx(math.fsum(DEFAULT_PHI9.k), abs=1e-15)
 
 
 def test_phi9_exponent_is_z_times_linear_coefficient():
     # other readings are scored by phi9_error_reports, tested in test_metrics
     y = list_approximations()[8].y
-    assert all(y(z) == phi9_linear_coefficient(z) * z for z in GRID_A.points())
-
-
-@pytest.mark.parametrize("coeffs", [(), 0, K_TABULATED],
-                         ids=["empty-tuple", "zero", "K_TABULATED"])
-def test_phi9_coefficient_takes_only_a_reading_or_none(coeffs):
-    assert phi9_linear_coefficient(1.0, None) == phi9_linear_coefficient(1.0, DEFAULT_PHI9)
-    with pytest.raises(TypeError, match=f"not {type(coeffs).__name__}$"):
-        phi9_linear_coefficient(1.0, coeffs)
+    assert all(y(z) == _linear_coefficient(z, DEFAULT_PHI9.k) * z for z in GRID_A.points())
 
 
 _MODERATE = st.floats(min_value=-1e6, max_value=1e6)
@@ -109,19 +101,10 @@ _MODERATE = st.floats(min_value=-1e6, max_value=1e6)
 @given(_MODERATE, st.tuples(*[_MODERATE] * 17))
 @settings(max_examples=300, deadline=None)
 def test_unrolled_horner_equals_the_loop(z, k):
-    acc = 0.0
-    for c in reversed(k):
-        acc = acc * z + c
-    assert _horner(z, k) == acc
+    assert _horner(z, k) == _linear_coefficient(z, k)
 
 
-@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
-def test_phi9_coefficient_rejects_non_finite(z):
-    with pytest.raises(DomainError, match="finite"):
-        phi9_linear_coefficient(z)
-
-
-def test_extended_leaves_conversion_to_eval_cdf_approx():
+def test_extended_compares_the_raw_z_first():
     # compares the raw z first, so a string is a TypeError, as in
     # quantile_approx, and -0.0 goes to the direct form unchanged
     with pytest.raises(TypeError):
@@ -136,10 +119,10 @@ def test_negative_z_error_names_symmetric_domain():
 
 @pytest.mark.parametrize("fn", [
     partial(eval_cdf_extended, 1), ref_cdf, ref_quantile,
-    partial(quantile_approx, 1), polya_cdf, lambda z: inverse_table([z]),
-    lambda z: GridSpec(0.0, z, 1.0), phi9_linear_coefficient],
+    partial(quantile_approx, 1), lambda z: inverse_table([z]),
+    lambda z: GridSpec(0.0, z, 1.0)],
     ids=["eval_cdf_extended", "ref_cdf", "ref_quantile", "quantile_approx",
-         "polya_cdf", "inverse_table", "GridSpec", "phi9_linear_coefficient"])
+         "inverse_table", "GridSpec"])
 @pytest.mark.parametrize("x", [10**400, -10**400], ids=["+10**400", "-10**400"])
 def test_integer_beyond_double_range_is_domain_error(fn, x):
     with pytest.raises(DomainError):

@@ -13,7 +13,7 @@ from normapprox import (DEFAULT_PHI9, PHI9_VARIANTS, DomainError, GRID_A, GRID_B
                         GridSpec, Phi9Coefficients, compute_error_report,
                         error_curve, eval_cdf_extended, inverse_table,
                         list_approximations, phi9_error_reports,
-                        phi9_linear_coefficient, reconcile_phi9, ref_cdf)
+                        reconcile_phi9, ref_cdf)
 from normapprox import cli, metrics
 from normapprox.metrics import MAX_GRID_POINTS, _ref_values
 from normapprox.reconcile import format_report
@@ -139,13 +139,22 @@ def _assert_first_of_ties_reduction(rep, pts, errs):
     assert rep.mae == math.fsum(errs) / len(errs)
 
 
+def _linear_coefficient(z, k):
+    # a(z) = sum_j k_j z^(j-1) as a plain loop, sharing no code with the
+    # library's unrolled Horner or the generated kernel
+    acc = 0.0
+    for c in reversed(k):
+        acc = acc * z + c
+    return acc
+
+
 def test_error_report_equals_pointwise_evaluation_below_zero_exponent():
     # a(z) = -1e300 keeps the exponent negative, the logistic's e/(1+e) branch
     floor = Phi9Coefficients(k=(-1e300,) + (0.0,) * 16, variant_tag="floor")
     spec = GridSpec(8.0, 10.0, 0.5)
 
     def cdf(z):
-        e = math.exp(phi9_linear_coefficient(z, floor) * z)
+        e = math.exp(_linear_coefficient(z, floor.k) * z)
         return e / (1.0 + e)
 
     pts = spec.points()
@@ -160,7 +169,7 @@ def _k14_negated():
 
 
 def _phi9_cdf(z, r):
-    t = phi9_linear_coefficient(z, r) * z
+    t = _linear_coefficient(z, r.k) * z
     if t >= 0.0:
         return 1.0 / (1.0 + math.exp(-t))
     e = math.exp(t)
@@ -233,9 +242,10 @@ def test_report_cache_keeps_at_most_its_cap(monkeypatch):
     spec = GridSpec(0.0, 2.0, 0.25)
     _ref_values.cache_clear()
     cap = metrics._MAX_CACHED_REPORTS
-    sizes = []  # readings per kernel built
-    build = metrics._phi9_kernel
-    monkeypatch.setattr(metrics, "_phi9_kernel", lambda ks: sizes.append(len(ks)) or build(ks))
+    events = []  # in order: the readings of each kernel built, and each report made
+    build, report = metrics._phi9_kernel, metrics._report
+    monkeypatch.setattr(metrics, "_phi9_kernel", lambda ks: events.append(len(ks)) or build(ks))
+    monkeypatch.setattr(metrics, "_report", lambda *args: events.append("report") or report(*args))
     # cap + 4 distinct readings, k1 = 1 + i/64
     readings = [Phi9Coefficients(k=(1.0 + i / 64, *DEFAULT_PHI9.k[1:]), variant_tag=str(i))
                 for i in range(cap + 4)]
@@ -246,8 +256,10 @@ def test_report_cache_keeps_at_most_its_cap(monkeypatch):
         for r, rep in zip(readings, reports):
             _assert_first_of_ties_reduction(
                 rep, pts, [abs(_phi9_cdf(z, r) - ref_cdf(z)) for z in pts])
-    # no kernel takes more than the cap, whose source size it bounds
-    assert sizes == [cap, 4, 4]
+    # no kernel takes more than the cap, whose source size it bounds, and each
+    # kernel's errors are reduced before the next is built, so at most one
+    # kernel's error arrays are held at once
+    assert events == [cap, *["report"] * cap, 4, *["report"] * 4, 4, *["report"] * 4]
 
 
 _BASE_K = DEFAULT_PHI9.k

@@ -21,7 +21,6 @@ from .reconcile import format_report, reconcile_phi9
 from .reference import ref_cdf
 
 _BENCH_EVALS = 1_000_000
-_WARMUP_EVALS = 20_000
 _FIG2_GRID = GridSpec(0.0, 4.8, 0.01)
 
 
@@ -156,7 +155,6 @@ def run_bench(evals: int) -> list[tuple[str, float]]:
     subjects.append(("oracle", ref_cdf))
     results = []
     for label, fn in subjects:
-        sum(map(fn, islice(cycle(points), _WARMUP_EVALS)))
         t0 = time.perf_counter()
         sum(map(fn, islice(cycle(points), evals)))
         results.append((label, time.perf_counter() - t0))

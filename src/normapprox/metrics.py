@@ -16,9 +16,8 @@ Both loops end in one reduction, sequential in grid order (sums through
 ``error_curve`` goes through ``eval_cdf_extended`` point by point.
 Grid evaluation stays single-threaded.  Each report is a pure function of its
 inputs, so a parallel split would keep its bits, but it does not pay: on a
-2-vCPU host a forked child cost 4-10 ms to fork, pickle its reports and exit,
-against 13-20 ms for the phi1..phi8 loop it would share (ROADMAP "Measured,
-and not worth doing now").
+2-vCPU host a two-way forked split gained on ``table2`` in some runs only, and
+not on ``reconcile`` (ROADMAP "Measured, and not worth doing now").
 """
 
 import math

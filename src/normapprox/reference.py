@@ -36,8 +36,8 @@ def ref_cdf(z: float) -> float:
     """
     try:
         z = float(z)
-    except OverflowError:  # to_float, inlined on a hot path
-        z = math.inf if z > 0 else -math.inf
+    except OverflowError:  # to_float, inlined; either sign fails the next check
+        z = math.inf
     if not math.isfinite(z):
         raise DomainError("ref_cdf requires a finite abscissa")
     return 0.5 * math.erfc(-z / _SQRT2)

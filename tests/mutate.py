@@ -13,12 +13,22 @@ A test kills a mutant when its JUnit outcome differs from the unmutated
 copy's; a run longer than ``TIMEOUT_FACTOR`` times the unmutated one kills it
 too.  A first pass runs without ``SLOW``, a second runs the whole suite on the
 mutants left alive.  .bench_build/mutate/ then holds matrix.json (baseline
-outcomes; per mutant, the tests that kill it) and survivors.txt (with their
-source lines).  On a 2-vCPU host the run takes about an hour.
+outcomes; per mutant, the tests that kill it) and survivors.txt (each
+survivor's id and ledger key).  The run exits 1, naming each one, when a
+survivor is missing from ``LEDGER`` or a ledger entry matches no survivor.
+On a 2-vCPU host it takes about an hour.
+
+``LEDGER``, tests/equivalent_mutants.txt, lists the accepted survivors: the
+mutants that no input or output can tell from the original.  Each line is a
+mutant's ``key`` (module, edit, occurrence of that edit on its line, stripped
+source line), which survives line shifts, then `` | `` and the reason.  Runs
+deselect ``LEDGER_TEST``, which reads the source text and so fails on every
+edit of a ledger line, whatever the edit does.
 """
 
 import ast
 import bisect
+import collections
 import concurrent.futures
 import itertools
 import json
@@ -35,8 +45,11 @@ from typing import NamedTuple
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "normapprox"
 OUT = ROOT / ".bench_build" / "mutate"
+LEDGER = ROOT / "tests" / "equivalent_mutants.txt"
+LEDGER_TEST = "tests/test_suite_config.py::test_every_ledger_entry_names_exactly_one_mutant"
 COPIED = ("src", "tests", "pyproject.toml", ".github")
-# 7.4 s, 1.8 s and 1.5 s of a 22 s suite
+# 4.3-4.4 s, 2.3-2.5 s and 1.8-2.4 s of an 18.2-18.6 s suite (pytest --durations=5,
+# two runs, 2-vCPU Xeon, Python 3.11.7)
 SLOW = (
     "tests/test_acceptance.py::test_c7_bench_command",
     "tests/test_suite_config.py::test_failing_property_test_does_not_end_the_session",
@@ -58,10 +71,17 @@ class Mutant(NamedTuple):
     start: int        # byte offset of the edited token in the module
     original: str
     replacement: str
+    text: str         # the stripped source line
+    occurrence: int = 0  # earlier mutants of the same edit on that line
 
     @property
     def id(self) -> str:
         return f"{self.module}:{self.line}:{self.col} {self.original} -> {self.replacement}"
+
+    @property
+    def key(self) -> str:
+        return (f"{self.module} | {self.original} -> {self.replacement} | "
+                f"{self.occurrence} | {self.text}")
 
     def apply(self, source: bytes) -> bytes:
         return (source[:self.start] + self.replacement.encode()
@@ -70,12 +90,14 @@ class Mutant(NamedTuple):
 
 def mutants() -> list[Mutant]:
     """Every operator flip and literal nudge in the modules under ``SRC``, in
-    source order.  Raises ValueError where the source between two operands is
-    not the operator alone, or a literal's text is not its value, so a new
-    construct cannot be edited at the wrong offset."""
+    source order, each with its ledger key.  Raises ValueError where the
+    source between two operands is not the operator alone, or a literal's
+    text is not its value, so a new construct cannot be edited at the wrong
+    offset."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         source = path.read_bytes()
+        lines = source.splitlines()
         starts = [0, *itertools.accumulate(map(len, source.splitlines(keepends=True)))]
 
         def begin(node):
@@ -87,7 +109,7 @@ def mutants() -> list[Mutant]:
         def add(kind, start, original, replacement):
             line = bisect.bisect_right(starts, start)
             found.append(Mutant(path.name, kind, line, start - starts[line - 1], start,
-                                original, replacement))
+                                original, replacement, lines[line - 1].decode().strip()))
 
         def add_op(op, left, right, augmented=""):
             kind = _OPS.get(type(op))
@@ -117,7 +139,20 @@ def mutants() -> list[Mutant]:
                 value = node.value
                 add(type(value).__name__, begin(node), text, str(value + 1) if type(value) is int
                     else repr(value * 1.001 if value else 0.001))
-    return sorted(found, key=lambda m: (m.module, m.start))
+    found.sort(key=lambda m: (m.module, m.start))
+    seen = collections.Counter()
+    for i, m in enumerate(found):
+        edit = (m.module, m.line, m.original, m.replacement)
+        found[i] = m._replace(occurrence=seen[edit])
+        seen[edit] += 1
+    return found
+
+
+def ledger() -> list[tuple[str, str]]:
+    """(key, reason) of each entry of ``LEDGER``, in file order; blank lines
+    and lines that start with # are skipped."""
+    return [tuple(line.rsplit(" | ", 1)) for line in LEDGER.read_text().splitlines()
+            if line and not line.startswith("#")]
 
 
 def pytest_configure(config):
@@ -157,7 +192,7 @@ def run_suite(label: str, mutant: Mutant | None, deselect, timeout=None):
         cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "mutate",
                "--continue-on-collection-errors", "--hypothesis-seed=0",
                f"--junitxml={junit}", f"--basetemp={tree / 'tmp'}",
-               *(f"--deselect={t}" for t in deselect)]
+               *(f"--deselect={t}" for t in (LEDGER_TEST, *deselect))]
         path = os.environ.get("PYTHONPATH")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(tree / "src"), str(tree / "tests"), *([path] if path else [])]))
@@ -195,11 +230,16 @@ def main() -> int:
     (OUT / "matrix.json").write_text(json.dumps({
         "python": sys.version, "baseline": baseline,
         "mutants": {m.id: killed_by[m] for m in everything}}, indent=1) + "\n")
-    (OUT / "survivors.txt").write_text("".join(
-        f"{m.id}    {(SRC / m.module).read_text().splitlines()[m.line - 1].strip()}\n"
-        for m in todo))
+    (OUT / "survivors.txt").write_text("".join(f"{m.id}    {m.key}\n" for m in todo))
     print(f"{len(everything)} mutants, {len(todo)} survivors, in {OUT}", file=sys.stderr)
-    return 0
+    accepted = dict(ledger())
+    unlisted = [m for m in todo if m.key not in accepted]
+    stale = accepted.keys() - {m.key for m in todo}
+    for m in unlisted:
+        print(f"survivor not in the ledger: {m.id}    {m.key}", file=sys.stderr)
+    for key in sorted(stale):
+        print(f"ledger entry that matches no survivor: {key}", file=sys.stderr)
+    return 1 if unlisted or stale else 0
 
 
 if __name__ == "__main__":

@@ -149,9 +149,17 @@ def test_unknown_id_rejected(bad_id):
         quantile_approx(bad_id, 0.7)
 
 
-def test_coefficients_require_17_entries():
-    with pytest.raises(DomainError):
-        Phi9Coefficients(k=(1.0, 2.0), variant_tag="short")
+# a NaN would break _report's first-of-ties max and index; 10**400 converts to inf
+@pytest.mark.parametrize("k, message", [
+    ((1.0, 2.0), "exactly 17 entries"),
+    ((math.nan,) + (0.0,) * 16, "finite entries"),
+    ((0.0,) * 16 + (math.inf,), "finite entries"),
+    ((0.0,) * 8 + (-math.inf,) + (0.0,) * 8, "finite entries"),
+    ((10**400,) + (0.0,) * 16, "finite entries")],
+    ids=["short", "nan", "inf", "-inf", "10**400"])
+def test_coefficients_require_17_finite_entries(k, message):
+    with pytest.raises(DomainError, match=f"^Phi9Coefficients requires {message}$"):
+        Phi9Coefficients(k=k, variant_tag="bad")
 
 
 def test_coefficients_store_a_tuple_of_floats():

@@ -147,7 +147,7 @@ def test_id_flags_take_exactly_the_known_ids(tmp_path, capsys, argv, flag, ids):
         assert f"argument {flag}: invalid choice: {i}" in err
 
 
-def test_run_bench_times_every_subject_over_warmup_and_evals(monkeypatch):
+def test_run_bench_times_every_subject_over_exactly_evals(monkeypatch):
     calls = collections.Counter()
     extended, oracle = cli.eval_cdf_extended, cli.ref_cdf
 
@@ -168,7 +168,7 @@ def test_run_bench_times_every_subject_over_warmup_and_evals(monkeypatch):
     assert [label for label, _ in results] == labels
     # each subject's time lies within the span of the whole call
     assert all(0.0 < wall <= span for _, wall in results)
-    assert calls == dict.fromkeys(labels, 1000 + cli._WARMUP_EVALS)
+    assert calls == dict.fromkeys(labels, 1000)
 
 
 def test_reconcile_writes_report(tmp_path, capsys):

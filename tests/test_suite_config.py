@@ -1,8 +1,9 @@
 """The pytest configuration in pyproject.toml keeps a run going past a failure,
 the four by-design reds stay red, and tests/mutate.py still enumerates sound
-mutants."""
+mutants and names each accepted survivor of its ledger."""
 
 import ast
+import collections
 import io
 import pathlib
 import re
@@ -79,3 +80,12 @@ def test_mutation_runner_makes_one_token_edits_of_every_kind_in_every_module():
         assert sum(a != b for a, b in zip(before, after)) == 1, m.id
     assert {m.kind for m in found} == {*mutate.FLIPS, "int", "float"}
     assert {m.module for m in found} == set(sources) - {"__init__.py"}
+
+
+def test_every_ledger_entry_names_exactly_one_mutant():
+    # python tests/mutate.py checks the ledger against its survivors only after
+    # an hour; an edit of src/ that rewrites or duplicates a ledger line fails here
+    keys = [key for key, _ in mutate.ledger()]
+    found = collections.Counter(m.key for m in mutate.mutants())
+    assert len(set(keys)) == len(keys)
+    assert [key for key in keys if found[key] != 1] == []

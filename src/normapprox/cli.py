@@ -96,7 +96,7 @@ def cmd_table2(args) -> int:
 
 
 def cmd_table34(args) -> int:
-    data = inverse_table(DEFAULT_INVERSE_GRID.points())
+    data = inverse_table()
     headers = ["z", "p", "zhat1", "zhat2", "zhat3",
                "delta1", "delta2", "delta3",
                "p_full", "zhat1_full", "zhat2_full", "zhat3_full",

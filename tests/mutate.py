@@ -2,12 +2,14 @@
 
 ``python tests/mutate.py`` (stdlib only, no options) runs Tier-1 against each
 mutant of ``mutants()``: one operator of ``FLIPS`` flipped (``+=`` and its
-kin too) or one int or float literal nudged.  Each run takes a fresh copy of
-``COPIED`` under .bench_build/mutate/, whose ``pythonpath = ["src"]`` makes
-pytest and the subprocesses the tests start import the mutant, and which no
-.hypothesis database or byte code outlives.  Each run has one hypothesis seed
-and loads this module as a plugin that skips the shrink phase: an unshrunk
-failing example fails the same test, and shrinking one took 42 s.
+kin too), one int or float literal nudged, or one ``if …: raise`` guard
+turned (``not`` becomes ``+``, ``is None`` becomes ``is ...``).  Each run
+takes a fresh copy of ``COPIED`` under .bench_build/mutate/, whose
+``pythonpath = ["src"]`` makes pytest and the subprocesses the tests start
+import the mutant, and which no .hypothesis database or byte code outlives.
+Each run has one hypothesis seed and loads this module as a plugin that
+skips the shrink phase: an unshrunk failing example fails the same test, and
+shrinking one took 42 s.
 
 A test kills a mutant when its JUnit outcome differs from the unmutated
 copy's; a run longer than ``TIMEOUT_FACTOR`` times the unmutated one kills it
@@ -65,7 +67,7 @@ _OPS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
 
 class Mutant(NamedTuple):
     module: str       # file name under src/normapprox
-    kind: str         # a key of FLIPS, also for its augmented form, or int or float
+    kind: str         # a key of FLIPS, also for its augmented form, int, float or guard
     line: int
     col: int          # in bytes, as ast counts
     start: int        # byte offset of the edited token in the module
@@ -89,11 +91,11 @@ class Mutant(NamedTuple):
 
 
 def mutants() -> list[Mutant]:
-    """Every operator flip and literal nudge in the modules under ``SRC``, in
-    source order, each with its ledger key.  Raises ValueError where the
-    source between two operands is not the operator alone, or a literal's
-    text is not its value, so a new construct cannot be edited at the wrong
-    offset."""
+    """Every operator flip, literal nudge and guard edit in the modules under
+    ``SRC``, in source order, each with its ledger key.  Raises ValueError
+    where the source between two operands is not the operator alone, or a
+    literal's text is not its value, so a new construct cannot be edited at
+    the wrong offset."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         source = path.read_bytes()
@@ -123,6 +125,13 @@ def mutants() -> list[Mutant]:
             add(kind, end(left) + len(gap[:m.start(1)].encode()), m[1], FLIPS[kind] + augmented)
 
         for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.If) and any(isinstance(stmt, ast.Raise) for stmt in node.body):
+                # a guard: its raise fires on the inputs it let through, or never
+                for part in ast.walk(node.test):
+                    if isinstance(part, ast.UnaryOp) and isinstance(part.op, ast.Not):
+                        add("guard", begin(part), "not", "+")
+                    elif isinstance(part, ast.Constant) and part.value is None:
+                        add("guard", begin(part), "None", "...")
             if isinstance(node, ast.BinOp):
                 add_op(node.op, node.left, node.right)
             elif isinstance(node, ast.AugAssign):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import normapprox
-from normapprox import GRID_A, ErrorReport, compute_error_report, quantile_approx
+from normapprox import GRID_A, ErrorReport, compute_error_report
 from normapprox import cli
 from normapprox.cli import build_parser, main
 from goldens import GOLDEN, GOLDEN_RUNS, golden_argv
@@ -54,8 +54,8 @@ def test_commands_help_offers_no_sizing_flag(capsys, command):
 
 
 @pytest.mark.parametrize("command, flag, value", [
-    *((command, flag, "0.1") for command in ("table2", "table34", "curves", "reconcile")
-      for flag in ("--grid-start", "--grid-stop", "--grid-step")),
+    ("table2", "--grid-start", "0.1"), ("table34", "--grid-stop", "0.1"),
+    ("curves", "--grid-step", "0.1"), ("reconcile", "--grid-step", "0.1"),
     ("bench", "--evals", "2000000"),
 ])
 def test_commands_reject_sizing_flags_before_any_output(tmp_path, capsys,
@@ -68,19 +68,15 @@ def test_commands_reject_sizing_flags_before_any_output(tmp_path, capsys,
     assert not out_path.exists()
 
 
-def test_output_is_deterministic(capsys):
-    first = run(capsys, "table2", "--format", "csv")
-    second = run(capsys, "table2", "--format", "csv")
-    assert first == second
-
-
 @pytest.mark.parametrize("argv, golden", [row[1:] for row in GOLDEN_RUNS],
                          ids=[row[0] for row in GOLDEN_RUNS])
 def test_artefacts_match_golden_bytes(tmp_path, capsys, argv, golden):
     """Each published artefact, byte for byte, including the ``*_full`` columns:
-    each golden is what its GOLDEN_RUNS row writes with ``--output``."""
-    code, _, _ = run(capsys, *golden_argv(argv, golden, tmp_path))
-    assert code == 0
+    each golden is what its GOLDEN_RUNS row writes with ``--output``.  stderr
+    stays empty, and so does stdout, but for the two figure paths of ``curves``."""
+    code, out, err = run(capsys, *golden_argv(argv, golden, tmp_path))
+    printed = [str(p) for p in sorted(tmp_path.iterdir())] if argv.startswith("curves") else []
+    assert (code, out.splitlines(), err) == (0, printed, "")
     assert (tmp_path / golden).read_bytes() == (GOLDEN / golden).read_bytes()
 
 
@@ -128,10 +124,6 @@ def test_curves_prints_no_path_when_a_write_fails(tmp_path, capsys):
     assert not (tmp_path / "figure1_phi9.csv").exists()
 
 
-def test_curves_rejects_unknown_id(capsys):
-    assert run(capsys, "curves", "--approx", "12")[0] == 2
-
-
 @pytest.mark.parametrize("argv, flag, ids", [
     (["curves", "--output", "{tmp}"], "--approx", range(1, 10)),
     (["eval", "0.5"], "--approx", range(1, 10)),
@@ -171,15 +163,6 @@ def test_run_bench_times_every_subject_over_exactly_evals(monkeypatch):
     assert calls == dict.fromkeys(labels, 1000)
 
 
-def test_reconcile_writes_report(tmp_path, capsys):
-    path = tmp_path / "rec.txt"
-    code, out, _ = run(capsys, "reconcile", "--output", str(path))
-    assert (code, out) == (0, "")
-    text = path.read_text()
-    assert text.count("\n") >= 20
-    assert "selected: k3shift-k5minus-k8shift\n" in text
-
-
 def test_reconcile_without_output_prints_the_report(tmp_path, capsys, monkeypatch):
     # as every table command does: stdout, and no file in the working directory
     monkeypatch.chdir(tmp_path)
@@ -205,10 +188,6 @@ def test_eval_reflects_negative_z(capsys):
     assert rows[0]["value"] + rows[1]["value"] == 1.0
 
 
-def test_eval_domain_error_exit_2(capsys):
-    assert run(capsys, "eval", "--approx", "2", "9.5")[0] == 2
-
-
 @pytest.mark.parametrize("argv, message", [
     (["eval", "--", "nan"], "eval_cdf_extended requires a finite abscissa"),
     (["eval", "--", "-inf"], "eval_cdf_extended requires a finite abscissa"),
@@ -224,27 +203,6 @@ def test_eval_saturates_where_the_exponent_overflows(capsys, approx):
                        "--", "1e200", "-1e200")
     assert code == 0
     assert out.splitlines()[1:] == ["1e+200,1.0", "-1e+200,0.0"]
-
-
-@pytest.mark.parametrize("approx", ["5", "8"])
-def test_eval_past_turning_point_exit_2(capsys, approx):
-    code, out, err = run(capsys, "eval", "--approx", approx, "8")
-    assert code == 2
-    assert out == ""
-    assert "|z| <" in err
-
-
-def test_invert_reflects_small_p(capsys):
-    code, out, _ = run(capsys, "invert", "--inverse", "3", "--format", "json",
-                       "0.3", "0.5")
-    assert code == 0
-    rows = json.loads(out)["rows"]
-    assert rows[0]["z"] == -quantile_approx(3, 0.7)
-    assert rows[1]["z"] == 0.0
-
-
-def test_invert_rejects_unit_probability(capsys):
-    assert run(capsys, "invert", "1.0")[0] == 2
 
 
 @pytest.mark.parametrize("p", ["1e-320", "1e-17"])

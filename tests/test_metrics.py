@@ -72,17 +72,6 @@ def test_incommensurate_step_rejected(start, stop, step, match):
         GridSpec(start, stop, step)
 
 
-def test_error_report_is_deterministic():
-    a = compute_error_report(7, GRID_A)
-    b = compute_error_report(7, GRID_A)
-    assert (a.mxae, a.mae, a.mxae_location) == (b.mxae, b.mae, b.mxae_location)
-
-
-def test_error_curve_tocher_magnitude():
-    worst = max(abs(d) for _, d in error_curve(1, GRID_A))
-    assert worst == pytest.approx(1.77e-2, rel=0.02)
-
-
 def test_lin_grid_domain_guard():
     with pytest.raises(DomainError):
         compute_error_report(2, GridSpec(0.0, 9.0, 0.5))
@@ -107,12 +96,6 @@ def test_argmax_tie_breaks_to_smallest_abscissa():
     rep = phi9_error_reports(spec, [floor])[0]
     assert rep.mxae == 1.0
     assert rep.mxae_location == 8.5
-
-
-def test_coefficients_rejected_for_other_forms():
-    # a non-default phi9 reading goes through phi9_error_reports only
-    with pytest.raises(TypeError):
-        compute_error_report(1, GRID_A, DEFAULT_PHI9)
 
 
 # the third grid overflows z**3 in phi4, phi6 and phi7, whose CDF is then
@@ -146,20 +129,6 @@ def _linear_coefficient(z, k):
     for c in reversed(k):
         acc = acc * z + c
     return acc
-
-
-def test_error_report_equals_pointwise_evaluation_below_zero_exponent():
-    # a(z) = -1e300 keeps the exponent negative, the logistic's e/(1+e) branch
-    floor = Phi9Coefficients(k=(-1e300,) + (0.0,) * 16, variant_tag="floor")
-    spec = GridSpec(8.0, 10.0, 0.5)
-
-    def cdf(z):
-        e = math.exp(_linear_coefficient(z, floor.k) * z)
-        return e / (1.0 + e)
-
-    pts = spec.points()
-    errs = [abs(cdf(z) - ref_cdf(z)) for z in pts]
-    _assert_first_of_ties_reduction(phi9_error_reports(spec, [floor])[0], pts, errs)
 
 
 def _k14_negated():
@@ -343,13 +312,6 @@ def test_oracle_cache_holds_two_grids():
     for stop in (1.0, 2.0, 3.0):
         compute_error_report(1, GridSpec(0.0, stop, 0.5))
     assert _ref_values.cache_info().currsize == 2
-
-
-def test_inverse_table_default_13_rows():
-    rows = inverse_table()
-    assert len(rows) == 13
-    assert rows[0].z == 0.0
-    assert rows[-1].z == pytest.approx(4.8, abs=1e-12)
 
 
 @pytest.mark.parametrize("z, match", [

@@ -29,14 +29,6 @@ TAIL_VALUES = {
 }
 
 
-def test_cdf_agrees_with_quadrature_at_one():
-    # independent tanh-sinh quadrature of the density over (-40, 1]
-    q = quadrature_cdf(1.0)
-    assert abs(ref_cdf(1.0) - q) < 1e-14
-    # frozen 50-digit value for good measure
-    assert abs(ref_cdf(1.0) - 0.8413447460685429) < 5e-16
-
-
 @pytest.mark.parametrize("z,expected", sorted(TAIL_VALUES.items()))
 def test_tail_relative_accuracy(z, expected):
     assert ref_cdf(z) == pytest.approx(expected, rel=1e-12)
@@ -115,11 +107,6 @@ def test_cross_check_catches_a_shifted_oracle(monkeypatch):
 def test_cross_check_rejects_out_of_range():
     with pytest.raises(DomainError):
         oracle_cross_check([9.0])
-
-
-def test_quantile_matches_printed_pairing():
-    # published pairing of z = 1.6 with p = 0.9452
-    assert abs(ref_quantile(0.9452) - 1.6) < 5e-4
 
 
 @pytest.mark.parametrize("bad", [

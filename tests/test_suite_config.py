@@ -78,7 +78,7 @@ def test_mutation_runner_makes_one_token_edits_of_every_kind_in_every_module():
         before, after = _tokens(before), _tokens(after)
         assert len(before) == len(after), m.id
         assert sum(a != b for a, b in zip(before, after)) == 1, m.id
-    assert {m.kind for m in found} == {*mutate.FLIPS, "int", "float"}
+    assert {m.kind for m in found} == {*mutate.FLIPS, "int", "float", "guard"}
     assert {m.module for m in found} == set(sources) - {"__init__.py"}
 
 

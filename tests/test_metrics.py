@@ -23,6 +23,8 @@ def test_grid_b_has_5001_points():
     pts = GRID_B.points()
     assert len(pts) == 5001
     assert pts[-1] == pytest.approx(5.0, abs=1e-12)
+    spec = GridSpec(1.0, 2.0, 0.25)  # a start away from 0 counts too
+    assert (spec.count, spec.points()) == (5, [1.0, 1.25, 1.5, 1.75, 2.0])
 
 
 def test_degenerate_grid_rejected():

@@ -109,16 +109,28 @@ def test_cross_check_rejects_out_of_range():
         oracle_cross_check([9.0])
 
 
-@pytest.mark.parametrize("bad", [
-    0.0, 1.0, -0.5, 1.5, math.nan, math.inf,
+@pytest.mark.parametrize("bad, double", [
+    (0.0, 0.0), (1.0, 1.0), (-0.5, -0.5), (1.5, 1.5), (math.nan, math.nan),
+    (math.inf, math.inf), (True, 1.0), (-0.0, -0.0), (Decimal("NaN"), math.nan),
     # inside (0, 1), but the double of each is 0.0 or 1.0
-    Decimal("1e-400"), Fraction(1, 10**400), Decimal("0.99999999999999999999")],
-    ids=["0.0", "1.0", "-0.5", "1.5", "nan", "inf",
-         "Decimal-1e-400", "Fraction-1/10**400", "Decimal-1-1e-20"])
-def test_quantile_rejects_out_of_domain(bad):
+    (Decimal("1e-400"), 0.0), (Fraction(1, 10**400), 0.0),
+    (Decimal("0.99999999999999999999"), 1.0),
+    # beyond the double range, named as the infinity of its sign
+    (10**400, math.inf), (-10**400, -math.inf)],
+    ids=["0.0", "1.0", "-0.5", "1.5", "nan", "inf", "True", "-0.0", "Decimal-NaN",
+         "Decimal-1e-400", "Fraction-1/10**400", "Decimal-1-1e-20", "+10**400", "-10**400"])
+def test_quantile_rejects_out_of_domain(bad, double):
     # the message names the double p became, not only the domain
     with pytest.raises(DomainError, match=re.escape(
-            f"ref_quantile requires 0 < p < 1, and p as a double is {float(bad)!r}")):
+            f"ref_quantile requires 0 < p < 1, and p as a double is {double!r}")):
+        ref_quantile(bad)
+
+
+@pytest.mark.parametrize("bad", ["0.5", None])
+def test_quantile_rejects_a_non_number(bad):
+    # p is converted as a double, as quantile_approx and eval_cdf_extended
+    # convert theirs: a str is not parsed
+    with pytest.raises(TypeError):
         ref_quantile(bad)
 
 
@@ -159,6 +171,9 @@ def test_quantile_relative_accuracy_against_mpmath():
 def test_quantile_is_the_stdlib_as241_bit_for_bit():
     as241 = NormalDist().inv_cdf
     assert [ref_quantile(p) for p in QUANTILE_GATE_PS] == [as241(p) for p in QUANTILE_GATE_PS]
+    # a p of another number type is its double
+    for p in (Decimal("0.1"), Fraction(1, 3)):
+        assert ref_quantile(p).hex() == as241(float(p)).hex(), p
 
 
 def test_quantile_first_call_binds_as241_once(fresh_python):
@@ -182,25 +197,23 @@ def test_quantile_first_call_binds_as241_once(fresh_python):
                                    NormalDist().inv_cdf(0.3).hex(), "True"], done.stderr
 
 
-def test_quantile_falls_back_to_the_public_inv_cdf(fresh_python):
-    # a Python that drops statistics._normal_dist_inv_cdf, played by a stand-in
-    # module that keeps every other name, NormalDist among them
+def test_quantile_first_call_rejects_what_the_kernel_rejects(fresh_python):
+    # the binding stub checks the domain before it imports statistics, on p
+    # converted as the kernel converts it; at each bound it must agree with
+    # the kernel, so the first valid call may be as small as 1e-300
     probe = (
-        "import statistics, sys, types\n"
-        "shown = types.ModuleType('statistics')\n"
-        "shown.__dict__.update((n, v) for n, v in vars(statistics).items()\n"
-        "                      if n != '_normal_dist_inv_cdf')\n"
-        "sys.modules['statistics'] = shown\n"
-        "from normapprox import ref_quantile\n"
-        "import normapprox.reference as reference\n"
-        f"zs = [ref_quantile(p) for p in {QUANTILE_GATE_PS!r}]\n"
-        "print(type(reference._as241).__name__, reference._as241(0.3, 2.0, 3.0).hex())\n"
-        "print(*[z.hex() for z in zs])\n")
+        "import sys\n"
+        "from decimal import Decimal\n"
+        "from normapprox import DomainError, ref_quantile\n"
+        "for p in (1.0, -0.0, float('nan'), True, Decimal('NaN'), 10**400, '0.5', None):\n"
+        "    try:\n"
+        "        ref_quantile(p)\n"
+        "    except (DomainError, TypeError) as e:\n"
+        "        print(type(e).__name__)\n"
+        "print('statistics' in sys.modules, ref_quantile(1e-300).hex())\n")
     done = fresh_python("-c", probe)
-    lines = done.stdout.split("\n")
-    # a Python function, not the C kernel, which also passes mu and sigma on
-    assert lines[0].split() == ["function", NormalDist(2.0, 3.0).inv_cdf(0.3).hex()], done.stderr
-    assert lines[1].split() == [NormalDist().inv_cdf(p).hex() for p in QUANTILE_GATE_PS]
+    assert done.stdout.split() == ["DomainError"] * 6 + ["TypeError"] * 2 + [
+        "False", NormalDist().inv_cdf(1e-300).hex()], done.stderr
 
 
 def test_import_leaves_heavy_modules_unimported(fresh_python):

@@ -12,6 +12,7 @@ registry is immutable.
 
 import math
 from itertools import product
+from math import exp
 
 from .errors import DomainError, Record, to_float
 
@@ -104,22 +105,17 @@ PHI9_VARIANTS = tuple(map(_phi9_variant, product(*_PHI9_READINGS.values())))
 DEFAULT_PHI9 = next(v for v in PHI9_VARIANTS if v.variant_tag == "k3shift-k5minus-k8shift")
 
 
-def _horner(z: float, k: tuple[float, ...]) -> float:
-    # a(z) = sum_j k_j z^(j-1) by Horner, unrolled for speed.  It equals the
-    # loop acc = acc*z + c over reversed(k) from acc = 0.0 bit for bit: the
-    # loop's first step, 0.0*z + k17, is exactly k17 for finite z.
-    k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, k13, k14, k15, k16, k17 = k
-    return (((((((((((((((k17 * z + k16) * z + k15) * z + k14) * z + k13) * z
-                        + k12) * z + k11) * z + k10) * z + k9) * z + k8) * z
-                  + k7) * z + k6) * z + k5) * z + k4) * z + k3) * z + k2) * z + k1
+# DEFAULT_PHI9.k as names, so phi9's registry exponent unpacks no tuple a call
+_K1, _K2, _K3, _K4, _K5, _K6, _K7, _K8, _K9, _K10, _K11, _K12, _K13, _K14, _K15, _K16, _K17 = \
+    DEFAULT_PHI9.k
 
 
 class ApproxDescriptor(Record):
     """One approximation: identity, published accuracy, exponent, domain.
 
-    ``y(z)`` is the exponent; phi9's reads DEFAULT_PHI9.  ``domain_max`` is
-    an exclusive upper bound on |z| (inf = unbounded): y increases on
-    [0, domain_max), so the CDF is monotone there.
+    ``y(z)`` is the exponent; phi9's is a(z) * z, with DEFAULT_PHI9's a(z) by
+    Horner spelled out.  ``domain_max`` is an exclusive upper bound on |z|
+    (inf = unbounded): y increases on [0, domain_max), so the CDF is monotone there.
     ``reported_mxae``/``reported_mae`` are the published grid-error figures.
     A registry row unpickles and copies to itself, without ``_check``.
     """
@@ -161,7 +157,10 @@ _DESCRIPTORS = (
                                 - 0.00021785 * z**7 + 0.00006293 * z**8
                                 - 0.00000519 * z**9)),
     ApproxDescriptor(9, "proposed", math.inf, 4.43e-10, 9.62e-11,
-                     lambda z: _horner(z, DEFAULT_PHI9.k) * z),
+                     lambda z: ((((((((((((((((_K17 * z + _K16) * z + _K15) * z + _K14) * z
+                                            + _K13) * z + _K12) * z + _K11) * z + _K10) * z
+                                        + _K9) * z + _K8) * z + _K7) * z + _K6) * z + _K5) * z
+                                   + _K4) * z + _K3) * z + _K2) * z + _K1) * z),
 )
 
 _BY_INDEX = {d.index: d for d in _DESCRIPTORS}
@@ -204,15 +203,16 @@ def eval_cdf_extended(approx_id: int, z: float) -> float:
         if not math.isfinite(z):
             raise DomainError("eval_cdf_extended requires a finite abscissa")
         raise DomainError(f"{d.name} holds only for |z| < {d.domain_max:g}")
+    y = d.y  # the method form d.y(z) does not specialize on CPython 3.11
     try:
-        y = d.y(z)
+        y = y(z)
     except OverflowError:
         # every exponent increases on its domain, so one too large for a
         # double saturates the logistic at 1
         y = math.inf
     if y >= 0.0:
-        v = 1.0 / (1.0 + math.exp(-y))
+        v = 1.0 / (1.0 + exp(-y))
     else:
-        e = math.exp(y)
+        e = exp(y)
         v = e / (1.0 + e)
     return 1.0 - v if flip else v

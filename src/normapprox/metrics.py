@@ -168,8 +168,8 @@ def phi9_error_reports(spec: GridSpec, readings) -> tuple[ErrorReport, ...]:
     Each pass runs the straight-line kernel ``_phi9_kernel`` builds for its
     readings: at every point it runs each Horner step that readings share
     once, then each reading's ``* z`` and logistic.  Every operation is the
-    one ``_horner`` and ``eval_cdf_extended`` make, in their order, so each
-    report is bit-identical to scoring that reading alone.  A reading that
+    one phi9's registry exponent and ``eval_cdf_extended`` make, in their
+    order, so each report is bit-identical to scoring that reading alone.  A reading that
     is not a ``Phi9Coefficients`` raises TypeError before anything is scored.
     """
     readings = tuple(readings)
@@ -197,7 +197,7 @@ def _phi9_kernel(ks: tuple[tuple[float, ...], ...]):
 
     The readings form a prefix tree over k17 -> k1: each distinct suffix
     ``k[j:]`` names one partial sum ``h``, computed once a point as its
-    parent's ``h * z + k[j]``, the step ``_horner`` makes.  Reading i then
+    parent's ``h * z + k[j]``, as in phi9's registry exponent.  Reading i then
     takes ``t = h * z`` of its whole k, the logistic of ``eval_cdf_extended``,
     and appends ``abs(a - ref)`` through ``ap<i>``.  The source names only
     identifiers; ``exp``, ``abs`` and every coefficient are bound as

@@ -13,12 +13,14 @@ shrinking one took 42 s.
 
 A test kills a mutant when its JUnit outcome differs from the unmutated
 copy's; a run longer than ``TIMEOUT_FACTOR`` times the unmutated one kills it
-too.  A first pass runs without ``SLOW``, a second runs the whole suite on the
-mutants left alive.  .bench_build/mutate/ then holds matrix.json (baseline
-outcomes; per mutant, the tests that kill it) and survivors.txt (each
-survivor's id and ledger key).  The run exits 1, naming each one, when a
-survivor is missing from ``LEDGER`` or a ledger entry matches no survivor.
-On a 2-vCPU host it takes about an hour.
+too.  Every process of a run may map at most ``MEMORY_CAP``, so a mutant that
+allocates without bound fails the test that reaches it.  A first pass runs
+without ``SLOW``, a second runs the whole suite on the mutants left alive.
+.bench_build/mutate/ then holds matrix.json (baseline outcomes; per mutant,
+the tests that kill it) and survivors.txt (each survivor's id and ledger
+key).  The run exits 1, naming each one, when a survivor is missing from
+``LEDGER`` or a ledger entry matches no survivor.
+On a 2-vCPU host it takes about 40 minutes.
 
 ``LEDGER``, tests/equivalent_mutants.txt, lists the accepted survivors: the
 mutants that no input or output can tell from the original.  Each line is a
@@ -37,6 +39,7 @@ import json
 import os
 import pathlib
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -58,6 +61,10 @@ SLOW = (
     "tests/test_suite_config.py::test_the_four_by_design_reds_stay_red",
 )
 TIMEOUT_FACTOR = 4
+# Each suite process's address space, in bytes.  No process of the unmutated
+# suite maps more than 70 MB (VmPeak, Python 3.11.7), so a mutant that builds a
+# runaway list meets MemoryError inside the test that asked for it.
+MEMORY_CAP = 1 << 30
 
 FLIPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "==",
          "+": "-", "-": "+", "*": "/", "/": "*"}
@@ -185,9 +192,16 @@ def _outcomes(junit: pathlib.Path) -> dict[str, str]:
     return results
 
 
+def _cap_memory():
+    # runs in the child between fork and exec: one C call, which takes no lock
+    # that another thread of the pool could hold
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+
 def run_suite(label: str, mutant: Mutant | None, deselect, timeout=None):
     """(test id -> outcome, seconds) of Tier-1 on a fresh copy with ``mutant``
-    applied; the outcomes are None when the run timed out or wrote no report."""
+    applied, its processes capped at ``MEMORY_CAP``; the outcomes are None
+    when the run timed out or wrote no report."""
     tree = OUT / "trees" / label
     shutil.rmtree(tree, ignore_errors=True)
     try:
@@ -208,7 +222,7 @@ def run_suite(label: str, mutant: Mutant | None, deselect, timeout=None):
         t0 = time.perf_counter()
         try:
             subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
-                           stderr=subprocess.DEVNULL, timeout=timeout)
+                           stderr=subprocess.DEVNULL, timeout=timeout, preexec_fn=_cap_memory)
         except subprocess.TimeoutExpired:
             return None, time.perf_counter() - t0
         return (_outcomes(junit) if junit.is_file() else None), time.perf_counter() - t0

@@ -125,8 +125,8 @@ def _assert_first_of_ties_reduction(rep, pts, errs):
 
 
 def _linear_coefficient(z, k):
-    # a(z) = sum_j k_j z^(j-1) as a plain loop, sharing no code with the
-    # library's unrolled Horner or the generated kernel
+    # a(z) = sum_j k_j z^(j-1) as a plain loop, sharing no code with phi9's
+    # spelled-out registry exponent or the generated kernel
     acc = 0.0
     for c in reversed(k):
         acc = acc * z + c

@@ -7,9 +7,11 @@ form checked and evaluated on the half domain where the paper defines it (the
 registry exponent and the logistic for z >= 0; a private kernel of
 ``inverse`` for 0.5 <= p < 1), then the reflection Phi(z) = 1 - Phi(-z) or
 z(p) = -z(1-p).  A frame count then keeps each entry point one Python frame
-in front of its arithmetic.
+in front of its arithmetic, and a byte-code check keeps ``eval_cdf_extended``
+on loads that CPython can specialize.
 """
 
+import dis
 import math
 import struct
 import sys
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 
 from normapprox import (DomainError, eval_cdf_extended, list_approximations,
                         quantile_approx, ref_quantile)
+from normapprox.approximations import ApproxDescriptor
 from normapprox.errors import to_float
 from normapprox.inverse import _z1, _z2, _z3
 
@@ -140,8 +143,26 @@ def _python_calls(fn, *args):
     (quantile_approx, (1, 0.3), 2),  # and _z1
     (quantile_approx, (3, 0.3), 3),  # and _z3, which calls _d1
     (eval_cdf_extended, (1, -0.7), 2),  # and the exponent
-], ids=["ref_quantile", "quantile_approx-1", "quantile_approx-3", "eval_cdf_extended"])
+    (eval_cdf_extended, (9, -0.7), 2),  # and phi9's exponent, one expression
+], ids=["ref_quantile", "quantile_approx-1", "quantile_approx-3", "eval_cdf_extended",
+        "eval_cdf_extended-9"])
 def test_scalar_entry_points_are_one_frame_deep(fn, args, frames):
     fn(*args)  # ref_quantile binds its kernel on the first valid call
     calls = _python_calls(fn, *args)
     assert len(calls) == frames, calls
+
+
+def _method_form(instr):
+    # obj.name(...) loads name as a method: LOAD_METHOD up to 3.11, and from
+    # 3.12 a LOAD_ATTR whose oparg has its low bit set
+    if sys.version_info < (3, 12):
+        return instr.opname == "LOAD_METHOD"
+    return instr.opname == "LOAD_ATTR" and instr.arg & 1 == 1
+
+
+def test_extended_loads_no_descriptor_slot_as_a_method():
+    # on 3.11 a method-form load of a slot that holds a function never
+    # specializes; the plain load of the slot does
+    loads = [i.argval for i in dis.get_instructions(eval_cdf_extended)
+             if i.argval in ApproxDescriptor.__slots__ and _method_form(i)]
+    assert loads == []

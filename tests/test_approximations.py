@@ -1,11 +1,10 @@
 """Registry metadata, closed-form values, reflection and shape properties."""
 
 import math
+import random
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from normapprox import (DEFAULT_PHI9, DomainError, GRID_A, GridSpec,
                         Phi9Coefficients, compute_error_report, error_curve,
@@ -15,6 +14,7 @@ from normapprox import (DEFAULT_PHI9, DomainError, GRID_A, GridSpec,
 from normapprox.approximations import descriptor
 from goldens import TABLE2
 from test_metrics import _linear_coefficient
+from test_scalar_routes import FLOAT_EDGES
 
 ALL_IDS = range(1, 10)
 
@@ -45,14 +45,17 @@ def test_extended_reflection_definition(approx_id):
     assert eval_cdf_extended(approx_id, -1.0) == 1.0 - _direct(approx_id, 1.0)
 
 
-@given(st.integers(min_value=1, max_value=9),
-       st.floats(min_value=0.0, max_value=5.0, exclude_min=True))
-@settings(max_examples=300, deadline=None)
-def test_reflection_identity_is_exact(approx_id, z):
+def test_reflection_identity_is_exact():
     # z != 0: one side of the pair goes through 1 - v, and v >= 0.5 keeps
     # that subtraction exact
-    total = eval_cdf_extended(approx_id, z) + eval_cdf_extended(approx_id, -z)
-    assert total == 1.0
+    rng = random.Random(300)
+    edges = [(i, z) for i in ALL_IDS for z in [*FLOAT_EDGES, 5.0] if 0.0 < z <= 5.0]
+    # z on (0, 5], uniform or log-uniform down to the least subnormal
+    sweep = [(rng.randint(1, 9), 5.0 * (1.0 - rng.random()) if n % 2
+              else 2.0 ** rng.uniform(-1074, 2.3)) for n in range(300)]
+    for approx_id, z in edges + sweep:
+        total = eval_cdf_extended(approx_id, z) + eval_cdf_extended(approx_id, -z)
+        assert total == 1.0, (approx_id, z)
 
 
 @pytest.mark.parametrize("approx_id", [1, 2, 3, 4, 5, 6, 8, 9])
@@ -68,15 +71,18 @@ def test_boiroju_rao_misses_half_at_zero():
     assert v == pytest.approx(0.5, abs=2e-7)
 
 
-@given(st.floats(min_value=-1e6, max_value=1e6))
-@settings(max_examples=300, deadline=None)
-def test_phi9_exponent_is_z_times_linear_coefficient(z):
+def test_phi9_exponent_is_z_times_linear_coefficient():
     # the spelled-out Horner against a plain loop, on GRID_A and at any finite
     # |z| <= 1e6; other readings are scored by phi9_error_reports, tested in
     # test_metrics
     y = list_approximations()[8].y
-    assert all(y(x) == _linear_coefficient(x, DEFAULT_PHI9.k) * x
-               for x in [z, *GRID_A.points()])
+    rng = random.Random(301)
+    # |z| uniform on [0, 1e6), or log-uniform down to the least subnormal
+    sweep = [rng.choice((1.0, -1.0)) * (rng.uniform(0.0, 1e6) if n % 2
+                                        else 2.0 ** rng.uniform(-1074, 19.9))
+             for n in range(300)]
+    for z in [*GRID_A.points(), *(z for z in FLOAT_EDGES if abs(z) <= 1e6), *sweep]:
+        assert y(z) == _linear_coefficient(z, DEFAULT_PHI9.k) * z, z
 
 
 def test_extended_compares_the_raw_z_first():

@@ -6,18 +6,17 @@ import csv
 import io
 import json
 import math
+import random
 import time
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import normapprox
 from normapprox import GRID_A, ErrorReport, compute_error_report
 from normapprox import cli
 from normapprox.cli import build_parser, main
 from goldens import GOLDEN, GOLDEN_RUNS, golden_argv
-from test_metrics import _EXTREME_FLOATS
+from test_scalar_routes import EDGES, any_float
 
 
 def run(capsys, *argv):
@@ -213,14 +212,17 @@ def test_invert_names_the_domain_when_reflection_fails(capsys, p):
     assert "1 - p rounds to 1" in err
 
 
-@given(st.integers(1, 9), st.integers(1, 3), _EXTREME_FLOATS)
-@settings(max_examples=300, deadline=None)
-def test_eval_and_invert_exit_cleanly_on_any_float(approx, inverse, x):
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
-        codes = {main(["eval", "--approx", str(approx), "--", repr(x)]),
-                 main(["invert", "--inverse", str(inverse), "--", repr(x)])}
-    assert codes <= {0, 2, 3}
+def test_eval_and_invert_exit_cleanly_on_any_float():
+    rng = random.Random(302)
+    # every edge with every form, then doubles over all bit patterns
+    cases = [(n + 1, n % 3 + 1, x) for x in EDGES for n in range(9)]
+    cases += [(rng.randint(1, 9), rng.randint(1, 3), any_float(rng)) for _ in range(300)]
+    for approx, inverse, x in cases:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            codes = {main(["eval", "--approx", str(approx), "--", str(x)]),
+                     main(["invert", "--inverse", str(inverse), "--", str(x)])}
+        assert codes <= {0, 2, 3}, (approx, inverse, x)
 
 
 def test_unknown_format_exit_2(capsys):

@@ -2,12 +2,11 @@
 
 import contextlib
 import math
+import random
 from functools import partial
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from normapprox import (DEFAULT_PHI9, PHI9_VARIANTS, DomainError, GRID_A, GRID_B,
                         GridSpec, Phi9Coefficients, compute_error_report,
@@ -17,6 +16,7 @@ from normapprox import (DEFAULT_PHI9, PHI9_VARIANTS, DomainError, GRID_A, GRID_B
 from normapprox import cli, metrics
 from normapprox.metrics import MAX_GRID_POINTS, _ref_values
 from normapprox.reconcile import format_report
+from test_scalar_routes import FLOAT_EDGES, any_float
 
 
 def test_grid_b_has_5001_points():
@@ -115,13 +115,12 @@ def test_error_curve_equals_pointwise_evaluation(approx_id, spec):
     assert error_curve(approx_id, spec) == list(zip(pts, diffs))
     # compute_error_report skips eval_cdf_extended's checks but not its arithmetic
     _assert_first_of_ties_reduction(compute_error_report(approx_id, spec), pts,
-                                    [abs(d) for d in diffs])
+                                    [abs(d) for d in diffs], approx_id)
 
 
-def _assert_first_of_ties_reduction(rep, pts, errs):
-    assert rep.mxae == max(errs)
-    assert rep.mxae_location == pts[errs.index(max(errs))]
-    assert rep.mae == math.fsum(errs) / len(errs)
+def _assert_first_of_ties_reduction(rep, pts, errs, case):
+    assert (rep.mxae, rep.mxae_location, rep.mae) == (
+        max(errs), pts[errs.index(max(errs))], math.fsum(errs) / len(errs)), case
 
 
 def _linear_coefficient(z, k):
@@ -162,7 +161,8 @@ def test_phi9_error_reports_equal_pointwise_evaluation(spec):
     assert len(reports) == len(_MIXED_READINGS)
     for r, rep in zip(_MIXED_READINGS, reports):
         assert rep.grid == spec
-        _assert_first_of_ties_reduction(rep, pts, [abs(_phi9_cdf(z, r) - ref_cdf(z)) for z in pts])
+        _assert_first_of_ties_reduction(rep, pts, [abs(_phi9_cdf(z, r) - ref_cdf(z)) for z in pts],
+                                        r.variant_tag)
 
 
 def test_phi9_error_reports_default_reading_equals_compute_error_report():
@@ -226,49 +226,52 @@ def test_report_cache_keeps_at_most_its_cap(monkeypatch):
         assert len(_ref_values(spec)[2]) == cap
         for r, rep in zip(readings, reports):
             _assert_first_of_ties_reduction(
-                rep, pts, [abs(_phi9_cdf(z, r) - ref_cdf(z)) for z in pts])
+                rep, pts, [abs(_phi9_cdf(z, r) - ref_cdf(z)) for z in pts], r.variant_tag)
     # no kernel takes more than the cap, whose source size it bounds, and each
     # kernel's errors are reduced before the next is built, so at most one
     # kernel's error arrays are held at once
     assert events == [cap, *["report"] * cap, 4, *["report"] * 4, 4, *["report"] * 4]
 
 
-_BASE_K = DEFAULT_PHI9.k
-# what a position of a reading may become: signed zeros, any printed entry,
-# or a moderate float
-_ENTRY = st.one_of(st.sampled_from((0.0, -0.0, *_BASE_K)), st.floats(-2.0, 2.0))
-# DEFAULT_PHI9.k with up to four positions replaced
-_K = st.dictionaries(st.integers(0, 16), _ENTRY, max_size=4).map(
-    lambda new: tuple(new.get(i, c) for i, c in enumerate(_BASE_K)))
+def _entry(rng):
+    # what a position of a reading may become: a signed zero, any printed
+    # entry, or a moderate float
+    return rng.choice((rng.choice((0.0, -0.0, *DEFAULT_PHI9.k)), rng.uniform(-2.0, 2.0)))
+
+
+def _k(rng):
+    # DEFAULT_PHI9.k with up to four positions replaced
+    new = {rng.randrange(17): _entry(rng) for _ in range(rng.randint(0, 4))}
+    return tuple(new.get(i, c) for i, c in enumerate(DEFAULT_PHI9.k))
 
 
 def _replaced(k, pos, values):
     return [k[:pos] + (v,) + k[pos + 1:] for v in values]
 
 
-_READING_SETS = st.one_of(
-    # distinct readings, drawn with repeats
-    st.lists(_K, min_size=1, max_size=10).flatmap(
-        lambda ks: st.lists(st.sampled_from(ks), min_size=1, max_size=20)),
-    # one reading, repeated
-    st.builds(lambda k, n: [k] * n, _K, st.integers(1, 20)),
-    # readings that differ only at k17, or only at k1
-    st.builds(_replaced, _K, st.sampled_from((16, 0)), st.lists(_ENTRY, min_size=1, max_size=20)),
+def _reading_set(rng, shape):
+    if shape == 0:  # distinct readings, drawn with repeats
+        return rng.choices([_k(rng) for _ in range(rng.randint(1, 10))], k=rng.randint(1, 20))
+    if shape == 1:  # one reading, repeated
+        return [_k(rng)] * rng.randint(1, 20)
+    if shape == 2:  # readings that differ only at k17, or only at k1
+        return _replaced(_k(rng), rng.choice((16, 0)),
+                         [_entry(rng) for _ in range(rng.randint(1, 20))])
     # 0.0 against -0.0 at one position, also where every other entry is zero
-    st.builds(lambda k, pos: _replaced(k, pos, (0.0, -0.0)),
-              st.one_of(_K, st.just((0.0,) * 17)), st.integers(0, 16)),
-)
+    return _replaced(rng.choice((_k(rng), (0.0,) * 17)), rng.randrange(17), (0.0, -0.0))
 
 
-@given(_READING_SETS)
-@settings(max_examples=100, deadline=None)
-def test_phi9_kernel_equals_pointwise_scoring(ks):
+def test_phi9_kernel_equals_pointwise_scoring():
     spec = GridSpec(0.0, 3.0, 0.25)
-    _ref_values.cache_clear()  # no report kept from an earlier example
-    readings = [Phi9Coefficients(k=k, variant_tag=str(i)) for i, k in enumerate(ks)]
     pts = spec.points()
-    for r, rep in zip(readings, phi9_error_reports(spec, readings)):
-        _assert_first_of_ties_reduction(rep, pts, [abs(_phi9_cdf(z, r) - ref_cdf(z)) for z in pts])
+    rng = random.Random(100)
+    edges = [[(0.0,) * 17], [(-0.0,) * 17, (0.0,) * 17], [r.k for r in _MIXED_READINGS]]
+    for ks in edges + [_reading_set(rng, n % 4) for n in range(100)]:
+        _ref_values.cache_clear()  # no report kept from an earlier case
+        readings = [Phi9Coefficients(k=k, variant_tag=str(i)) for i, k in enumerate(ks)]
+        for r, rep in zip(readings, phi9_error_reports(spec, readings)):
+            _assert_first_of_ties_reduction(
+                rep, pts, [abs(_phi9_cdf(z, r) - ref_cdf(z)) for z in pts], r.k)
 
 
 def test_phi9_kernel_binds_every_coefficient_as_a_default():
@@ -279,35 +282,35 @@ def test_phi9_kernel_binds_every_coefficient_as_a_default():
     assert {c for k in ks for c in k} <= set(kernel.__defaults__)
 
 
-_EXTREME_FLOATS = st.one_of(
-    st.floats(),
-    st.sampled_from([1e308, -1e308, 5e-324, -5e-324, 2.2250738585072014e-308,
-                     0.0, -0.0, math.nan, math.inf, -math.inf]))
-
-
-@st.composite
-def _grid_bounds(draw):
-    start, stop, step = (draw(_EXTREME_FLOATS) for _ in range(3))
-    if draw(st.booleans()):
+def _grid_bounds(rng):
+    # a float over all bit patterns, or an edge
+    start, stop, step = (rng.choice(FLOAT_EDGES) if rng.random() < 0.5 else any_float(rng)
+                         for _ in range(3))
+    if rng.random() < 0.5:
         # three random floats almost never make a valid grid, so half the
-        # examples build one from a start, a step and a point count
+        # cases build one from a start, a step and a point count
         start, step = abs(start), abs(step)
-        stop = start + draw(st.integers(1, 2000)) * step
+        stop = start + rng.randint(1, 2000) * step
     return start, stop, step
 
 
-@given(_grid_bounds())
-@settings(max_examples=100, deadline=None)
-def test_any_grid_gives_a_report_or_a_domain_error(bounds):
-    try:
-        spec = GridSpec(*bounds)
-    except DomainError:
-        return  # rejected before a point is built
-    assume(spec.count <= 2000)
-    calls = [partial(compute_error_report, d.index, spec) for d in list_approximations()]
-    for call in [*calls, lambda: format_report(reconcile_phi9(spec))]:
-        with contextlib.suppress(DomainError):
-            call()
+def test_any_grid_gives_a_report_or_a_domain_error():
+    rng = random.Random(101)
+    edges = [(0.0, 5e-324, 5e-324), (0.0, 1e308, 5e307), (1e308, math.inf, 1e308),
+             (math.nan, 1.0, 0.5), (0.0, 1.0, 0.0), (0.0, 3.0, 1.5), (6.0, 9.0, 1.5),
+             (-0.0, 2.0, 0.25)]
+    for bounds in edges + [_grid_bounds(rng) for _ in range(100)]:
+        try:
+            spec = GridSpec(*bounds)
+        except DomainError as exc:  # rejected before a point is built
+            assert ("must be finite" in str(exc)) != all(map(math.isfinite, bounds)), bounds
+            continue
+        if spec.count > 2000:
+            continue
+        calls = [partial(compute_error_report, d.index, spec) for d in list_approximations()]
+        for call in [*calls, lambda: format_report(reconcile_phi9(spec))]:
+            with contextlib.suppress(DomainError):
+                call()
 
 
 def test_oracle_cache_holds_two_grids():

@@ -3,6 +3,7 @@
 import ast
 import math
 import pathlib
+import random
 import re
 import sys
 import textwrap
@@ -12,13 +13,12 @@ from statistics import NormalDist
 
 import mpmath
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import normapprox
 import quadrature
 from normapprox import GRID_A, DomainError, ref_cdf, ref_quantile
 from quadrature import oracle_cross_check, quadrature_cdf
+from test_scalar_routes import FLOAT_EDGES
 
 # high-precision tail values, frozen from a 50-digit erfc evaluation
 TAIL_VALUES = {
@@ -62,10 +62,13 @@ def test_cdf_rejects_non_finite(bad):
         ref_cdf(bad)
 
 
-@given(st.floats(min_value=0.0, max_value=8.0))
-@settings(max_examples=200, deadline=None)
-def test_symmetry(z):
-    assert abs(ref_cdf(z) + ref_cdf(-z) - 1.0) <= 2e-16
+def test_symmetry():
+    rng = random.Random(200)
+    # z on [0, 8], uniform or log-uniform down to the least subnormal
+    sweep = [rng.uniform(0.0, 8.0) if n % 2 else 2.0 ** rng.uniform(-1074, 3)
+             for n in range(200)]
+    for z in [*(z for z in FLOAT_EDGES if 0.0 <= z <= 8.0), 8.0, *sweep]:
+        assert abs(ref_cdf(z) + ref_cdf(-z) - 1.0) <= 2e-16, z
 
 
 def test_strict_monotonicity_coarse_grid():
@@ -134,12 +137,14 @@ def test_quantile_rejects_a_non_number(bad):
         ref_quantile(bad)
 
 
-@given(st.floats(min_value=5e-324, max_value=1.0, exclude_max=True))
-@settings(max_examples=200, deadline=None)
-def test_quantile_satisfies_cdf_contract(p):
-    z = ref_quantile(p)
-    assert abs(ref_cdf(z) - p) <= 1e-14
-    assert z == NormalDist().inv_cdf(p)  # the stdlib's AS 241, bit for bit
+def test_quantile_satisfies_cdf_contract():
+    rng = random.Random(201)
+    # p on [5e-324, 1), uniform or log-uniform down to the least subnormal
+    sweep = [rng.random() if n % 2 else 2.0 ** -rng.uniform(1, 1074) for n in range(200)]
+    for p in [*(p for p in FLOAT_EDGES if 0.0 < p < 1.0), 0.5, *sweep]:
+        z = ref_quantile(p)
+        assert abs(ref_cdf(z) - p) <= 1e-14, p
+        assert z == NormalDist().inv_cdf(p), p  # the stdlib's AS 241, bit for bit
 
 
 # p = 1 - 2^-k up to the last double below 1, deep lower tails, and a
